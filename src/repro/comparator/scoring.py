@@ -32,6 +32,8 @@ crossed-over offspring need no special handling because they hash to new
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..autodiff import Tensor, no_grad, sigmoid
@@ -57,6 +59,23 @@ def sanitize_win_matrix(wins: np.ndarray) -> np.ndarray:
     if np.isfinite(wins).all():
         return wins
     return np.where(np.isfinite(wins), wins, 0.0)
+
+
+@contextmanager
+def _eval_mode(model):
+    """Run the body with ``model`` in eval mode, then restore its mode.
+
+    Each mode switch walks the whole module tree, so it is skipped when the
+    model is already in eval mode — as the service's comparator always is.
+    """
+    if not model.training:
+        yield
+        return
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train(True)
 
 
 class RankingStats:
@@ -154,13 +173,10 @@ class RankingEngine:
         if self._preliminary is None:
             return None
         if self._task_embedding is None:
-            was_training = self.model.training
-            self.model.eval()
-            with no_grad():
+            with _eval_mode(self.model), no_grad():
                 self._task_embedding = (
                     self.model.encode_task(self._preliminary).numpy().copy()
                 )
-            self.model.train(was_training)
         return Tensor(self._task_embedding)
 
     def embeddings(self, arch_hypers: list[ArchHyper]) -> np.ndarray:
@@ -182,16 +198,13 @@ class RankingEngine:
 
     def _embed_batched(self, encodings: Encodings) -> np.ndarray:
         count = encodings[0].shape[0]
-        was_training = self.model.training
-        self.model.eval()
         chunks = []
-        with no_grad():
+        with _eval_mode(self.model), no_grad():
             for start in range(0, count, self.batch_size):
                 index = np.arange(start, min(start + self.batch_size, count))
                 chunks.append(
                     self.model.embed(_index_encodings(encodings, index)).numpy()
                 )
-        self.model.train(was_training)
         return np.concatenate(chunks, axis=0)
 
     # ------------------------------------------------------------------
@@ -216,9 +229,7 @@ class RankingEngine:
             task = self.task_embedding()
             pairs_a, pairs_b = ordered_pair_indices(count)
             wins = np.zeros((count, count), dtype=np.float32)
-            was_training = self.model.training
-            self.model.eval()
-            with no_grad():
+            with _eval_mode(self.model), no_grad():
                 for start in range(0, len(pairs_a), self.batch_size):
                     ia = pairs_a[start : start + self.batch_size]
                     ib = pairs_b[start : start + self.batch_size]
@@ -229,7 +240,6 @@ class RankingEngine:
                         logits = self.model.score_pairs(task, emb_a, emb_b)
                     probability = sigmoid(logits).numpy()
                     wins[ia, ib] = (probability >= 0.5).astype(np.float32)
-            self.model.train(was_training)
             self.stats.pair_scores += len(pairs_a)
             self.stats.win_matrices += 1
             handle.set(

@@ -314,6 +314,11 @@ class ServiceAPI:
 def _make_handler(service: ServiceAPI):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY.  A response leaves as two writes (headers, then
+        # body); with Nagle's algorithm on, the body waits for the client's
+        # delayed ACK of the headers, ~40 ms on every keep-alive response.
+        disable_nagle_algorithm = True
+
         # http.server logs every request to stderr by default; route it
         # through logging so test output stays clean.
         def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)

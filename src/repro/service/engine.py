@@ -150,6 +150,9 @@ class Engine:
         self.cache_enabled = cache_enabled
         self.rank_cache_size = max(1, rank_cache_size)
         self.fingerprint = artifacts_fingerprint(artifacts)
+        # The comparator only ever runs inference here, so it is put in eval
+        # mode once; RankingEngine then skips its per-call mode switches.
+        artifacts.model.eval()
         # task fingerprint -> (preliminary embedding, RankingEngine); the
         # encode-once-across-requests cache.  Sound because the comparator's
         # weights are frozen for the engine's lifetime (inference only) and
@@ -159,9 +162,8 @@ class Engine:
         )
         # Serializes every rank no matter who calls (API thread, daemon
         # worker, CLI): the cached RankingEngines are stateful and all share
-        # one comparator model whose train/eval mode they toggle, so
-        # concurrent ranks would corrupt cached embeddings and break the
-        # bitwise-determinism guarantee.
+        # one comparator model, so concurrent ranks would corrupt cached
+        # embeddings and break the bitwise-determinism guarantee.
         self._rank_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -26,13 +26,20 @@ Two design points matter beyond parsing:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.datasets import CTSData, list_datasets, non_finite_report, sanitize_values
+from ..data.datasets import (
+    DATASET_SPECS,
+    CTSData,
+    get_dataset,
+    non_finite_report,
+    sanitize_values,
+)
 from ..data.transforms import IMPUTATION_POLICIES
 from ..runtime.evaluator import DIVERGENCE_POLICIES
 from ..runtime.fingerprint import task_fingerprint_material
@@ -82,13 +89,30 @@ def _optional(payload: dict, key: str, kinds, where: str, default=None):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _registered_dataset(name: str, seed: int) -> CTSData:
+    """``get_dataset(name, seed)`` with read-only arrays, memoized.
+
+    A registered dataset is a pure function of ``(name, seed)``, and
+    regenerating one cost most of a ``/rank`` request's parsing.  Every
+    task built from the same pair shares the arrays, so they are made
+    read-only: no task can write into a later request's data.
+    """
+    data = get_dataset(name, seed=seed)
+    for array in (data.values, data.adjacency, data.mask):
+        if array is not None:
+            array.flags.writeable = False
+    return data
+
+
 def build_task(spec: dict) -> Task:
     """Materialize a :class:`~repro.tasks.task.Task` from a task spec.
 
     Two forms are accepted:
 
     * ``{"dataset": "SZ-TAXI", "p": 6, "q": 6, ...}`` — a registered
-      benchmark dataset by name;
+      benchmark dataset by name (memoized per ``(name, seed)``; its arrays
+      are read-only, shared by every task built from it);
     * ``{"name": "...", "values": [[[...]]], "adjacency": [[...]], "p": ...}``
       — raw series shipped inline as nested lists ``(N, T, F)`` plus an
       ``(N, N)`` adjacency.
@@ -113,11 +137,9 @@ def build_task(spec: dict) -> Task:
     max_train_windows = _optional(spec, "max_train_windows", int, "task")
     if "dataset" in spec:
         name = _require(spec, "dataset", str, "task")
-        if name not in list_datasets():
+        if name not in DATASET_SPECS:
             raise ProtocolError(f"task: unknown dataset {name!r}")
-        from ..data.datasets import get_dataset
-
-        data = get_dataset(name, seed=_optional(spec, "seed", int, "task", 0))
+        data = _registered_dataset(name, _optional(spec, "seed", int, "task", 0))
     elif "values" in spec:
         values = _require(spec, "values", list, "task")
         adjacency = _require(spec, "adjacency", list, "task")

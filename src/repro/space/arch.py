@@ -146,6 +146,16 @@ class Architecture:
         return f"Arch(C={self.num_nodes}: {body})"
 
 
+def _pick(seq, rng: np.random.Generator):
+    """One uniform draw from ``seq``.
+
+    Consumes exactly the ``Generator`` stream of ``rng.choice(seq)`` (both
+    draw ``integers(0, len(seq))``) at a quarter of its cost, and returns
+    the element itself rather than a numpy scalar.
+    """
+    return seq[int(rng.integers(len(seq)))]
+
+
 def sample_architecture(
     num_nodes: int, rng: np.random.Generator, operators=CANDIDATE_OPERATORS
 ) -> Architecture:
@@ -161,6 +171,6 @@ def sample_architecture(
         if target > 1 and rng.random() < 0.5:
             sources.add(int(rng.integers(0, target)))
         for source in sorted(sources):
-            op = str(rng.choice(operators))
+            op = str(_pick(operators, rng))
             edges.append(Edge(source, target, op))
     return Architecture(num_nodes=num_nodes, edges=tuple(edges))

@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 
+from .arch import _pick
+
 
 @dataclass(frozen=True)
 class HyperSpace:
@@ -53,12 +55,12 @@ class HyperSpace:
     def sample(self, rng: np.random.Generator) -> "HyperParameters":
         """Draw one hyperparameter setting uniformly at random."""
         return HyperParameters(
-            num_blocks=int(rng.choice(self.num_blocks)),
-            num_nodes=int(rng.choice(self.num_nodes)),
-            hidden_dim=int(rng.choice(self.hidden_dims)),
-            output_dim=int(rng.choice(self.output_dims)),
-            output_mode=int(rng.choice(self.output_modes)),
-            dropout=int(rng.choice(self.dropout)),
+            num_blocks=int(_pick(self.num_blocks, rng)),
+            num_nodes=int(_pick(self.num_nodes, rng)),
+            hidden_dim=int(_pick(self.hidden_dims, rng)),
+            output_dim=int(_pick(self.output_dims, rng)),
+            output_mode=int(_pick(self.output_modes, rng)),
+            dropout=int(_pick(self.dropout, rng)),
         )
 
     def enumerate(self):

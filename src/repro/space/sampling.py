@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .arch import Architecture, CANDIDATE_OPERATORS, Edge, sample_architecture
+from .arch import Architecture, CANDIDATE_OPERATORS, Edge, _pick, sample_architecture
 from .archhyper import ArchHyper
 from .hyperparams import HyperParameters, HyperSpace
 
@@ -89,7 +89,7 @@ class JointSearchSpace:
     def mutate(self, parent: ArchHyper, rng: np.random.Generator) -> ArchHyper:
         """Return a mutated copy of ``parent`` (one local change)."""
         for _ in range(_MAX_SAMPLE_ATTEMPTS):
-            kind = rng.choice(("operator", "topology", "hyper"))
+            kind = _pick(("operator", "topology", "hyper"), rng)
             if kind == "operator":
                 child = self._mutate_edge_operator(parent, rng)
             elif kind == "topology":
@@ -124,7 +124,7 @@ class JointSearchSpace:
         index = int(rng.integers(len(edges)))
         old = edges[index]
         choices = [op for op in self.operators if op != old.op]
-        edges[index] = Edge(old.source, old.target, str(rng.choice(choices)))
+        edges[index] = Edge(old.source, old.target, str(_pick(choices, rng)))
         arch = Architecture(parent.arch.num_nodes, tuple(edges))
         return ArchHyper(arch=arch, hyper=parent.hyper)
 
@@ -139,7 +139,7 @@ class JointSearchSpace:
         if target > 1 and rng.random() < 0.5:
             sources.add(int(rng.integers(0, target)))
         new_edges = [
-            Edge(source, target, str(rng.choice(self.operators)))
+            Edge(source, target, str(_pick(self.operators, rng)))
             for source in sorted(sources)
         ]
         arch = Architecture(num_nodes, tuple(kept + new_edges))
@@ -147,11 +147,11 @@ class JointSearchSpace:
 
     def _mutate_hyper(self, parent: ArchHyper, rng: np.random.Generator) -> ArchHyper:
         values = self.hyper_space.as_dict()
-        name = str(rng.choice(list(values)))
+        name = str(_pick(list(values), rng))
         choices = [v for v in values[name] if v != getattr_hyper(parent.hyper, name)]
         if not choices:
             return parent
-        new_value = int(rng.choice(choices))
+        new_value = int(_pick(choices, rng))
         hyper_dict = parent.hyper.to_dict()
         hyper_dict[name] = new_value
         hyper = HyperParameters.from_dict(hyper_dict)

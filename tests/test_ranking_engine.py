@@ -226,6 +226,18 @@ class TestModeRestoration:
         RankingEngine(model).win_matrix(_candidates(3))
         assert model.training is training
 
+    def test_wins_independent_of_starting_mode(self):
+        preliminary, candidates = _preliminary(4), _candidates(6, seed=11)
+        wins = {}
+        for training in (True, False):
+            model = _tahc()
+            model.train(training)
+            wins[training] = RankingEngine(
+                model, preliminary=preliminary
+            ).win_matrix(candidates)
+            assert all(m.training is training for m in model.modules())
+        np.testing.assert_array_equal(wins[True], wins[False])
+
     @pytest.mark.parametrize("training", [True, False])
     def test_tahc_predict_wins_restores_mode(self, training):
         model = _tahc()

@@ -1,5 +1,9 @@
 """Tests for the joint search space: validity, encoding, genetic operators."""
 
+import dataclasses
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +138,20 @@ class TestArchHyper:
         a, b = space.sample(rng), space.sample(rng)
         assert a.key() == ArchHyper.from_dict(a.to_dict()).key()
         assert a.key() != b.key()
+
+    def test_memoized_key_is_the_serialized_identity(self):
+        ah = JointSearchSpace().sample(np.random.default_rng(3))
+        fresh = json.dumps(ah.to_dict(), sort_keys=True)
+        assert ah.key() == fresh
+        assert ah.key() is ah.key()  # serialized once
+        # The memo is not a field: equality, hash and to_dict ignore it.
+        twin = ArchHyper.from_dict(ah.to_dict())
+        assert "_key" not in {f.name for f in dataclasses.fields(ArchHyper)}
+        assert twin == ah and hash(twin) == hash(ah)
+        assert twin.to_dict() == ah.to_dict()
+        restored = pickle.loads(pickle.dumps(ah))
+        assert restored == ah and restored.key() == fresh
+        assert pickle.loads(pickle.dumps(twin)).key() == fresh
 
     def test_searchable_filter(self):
         arch = Architecture(3, (Edge(0, 1, "gdcc"), Edge(1, 2, "inf_t")))

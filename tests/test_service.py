@@ -21,8 +21,10 @@ tiny synthetic artifacts — and talks to it over actual HTTP.  Covered:
 * ``repro submit`` CLI against a live server.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -33,6 +35,7 @@ from repro.comparator.pretrain import PretrainHistory
 from repro.comparator.tahc import TAHC
 from repro.core.health import DivergenceError
 from repro.data import CTSData
+from repro.data.datasets import get_dataset
 from repro.embedding import MLPEmbedder
 from repro.experiments.config import SCALES
 from repro.experiments.harness import PretrainedArtifacts
@@ -47,7 +50,9 @@ from repro.service import (
     build_task,
     task_fingerprint,
 )
+from repro.service import protocol
 from repro.space import HyperSpace, JointSearchSpace
+from repro.tasks import Task
 from repro.tasks.proxy import SENTINEL_SCORE
 
 TINY_HYPER = HyperSpace(
@@ -573,6 +578,88 @@ class TestEngineRanking:
         # The most recent two tasks survived, the oldest was evicted.
         newest = build_task(_task_spec(seed=2, name="toy-2"))
         assert task_fingerprint(newest) in engine._rank_cache
+
+    def test_engine_holds_comparator_in_eval_mode(self):
+        task = build_task(_task_spec())
+        outcomes = []
+        for training in (True, False):
+            artifacts = _artifacts()
+            artifacts.model.train(training)
+            engine = Engine(artifacts, SCALES["smoke"], cache_enabled=False)
+            outcome = engine.rank_task(task, task_fingerprint(task), seed=0, top_k=2)
+            assert not any(m.training for m in artifacts.model.modules())
+            assert engine.fingerprint == Engine(
+                _artifacts(), SCALES["smoke"], cache_enabled=False
+            ).fingerprint
+            outcomes.append(
+                ([ah.to_dict() for ah in outcome.candidates], outcome.comparisons)
+            )
+        assert outcomes[0] == outcomes[1]
+
+
+class TestRankPath:
+    def test_keep_alive_rank_responses_do_not_stall(self, service):
+        # A response leaves as two writes (headers, body).  With Nagle's
+        # algorithm on, the body waits ~40 ms for the client's delayed ACK
+        # on every response of a keep-alive connection: >= 0.8 s for 20.
+        body = json.dumps({"task": _task_spec(), "options": {"top_k": 1}}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", service.api.port, timeout=30)
+
+        def post():
+            conn.request(
+                "POST", "/rank", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            status, first = post()
+            assert status == 200 and not first["deduped"]
+            started = time.perf_counter()
+            for _ in range(20):
+                status, reply = post()
+                assert status == 200 and reply["deduped"]
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 deduped keep-alive /rank calls took {elapsed:.2f}s"
+
+    def test_registered_dataset_memo_is_shared_and_read_only(self):
+        spec = {"dataset": "SZ-TAXI", "p": 6, "q": 6, "seed": 3}
+        first, second = build_task(spec), build_task(spec)
+        assert first.data is second.data
+        fresh = get_dataset("SZ-TAXI", seed=3)
+        np.testing.assert_array_equal(first.data.values, fresh.values)
+        np.testing.assert_array_equal(first.data.adjacency, fresh.adjacency)
+        assert task_fingerprint(first) == task_fingerprint(Task(fresh, p=6, q=6))
+        for array in (first.data.values, first.data.adjacency):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        # The data pipeline only ever reads its input.
+        assert first.prepared.train.x.size > 0
+
+    def test_dirty_dataset_mask_is_read_only(self):
+        task = build_task({"dataset": "SZ-TAXI-missing", "p": 6, "q": 6})
+        assert task.data.mask is not None and not task.data.mask.flags.writeable
+        with pytest.raises(ValueError):
+            task.data.mask[0, 0] = False
+
+    def test_dataset_memo_is_bounded_lru(self):
+        memo = protocol._registered_dataset
+        size = memo.cache_info().maxsize
+        assert size is not None
+        seeds = [1000 + index for index in range(size + 3)]
+        for seed in seeds:
+            build_task({"dataset": "SZ-TAXI", "p": 6, "q": 6, "seed": seed})
+        assert memo.cache_info().currsize == size
+        hits = memo.cache_info().hits
+        build_task({"dataset": "SZ-TAXI", "p": 6, "q": 6, "seed": seeds[-1]})
+        assert memo.cache_info().hits == hits + 1  # the newest stayed
+        misses = memo.cache_info().misses
+        build_task({"dataset": "SZ-TAXI", "p": 6, "q": 6, "seed": seeds[0]})
+        assert memo.cache_info().misses == misses + 1  # the oldest was evicted
 
 
 class TestConcurrency:
