@@ -70,7 +70,9 @@ RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
 # floor.  A ratio on one machine, not absolute step times recorded on
 # another; a kernel regressing to a per-tap Python loop brings it towards 1x.
 # Three runs of the gate (2-vCPU shared VM) measured medians of 1.83-1.94x,
-# with lower quartiles of 1.58-1.79x.
+# with lower quartiles of 1.58-1.79x, while training ran in float64.  In
+# float32, three runs measured medians of 1.66-1.82x (optimized) and
+# 1.64-1.80x (pooled), with lower quartiles of 1.37-1.64x.
 MIN_SPEEDUP_VS_REFERENCE = 1.5
 
 # (name, reference kernels, buffer pool)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .pool import active_pool, take_buffer
-from .tensor import Tensor, as_tensor, make_op, unbroadcast
+from .tensor import Tensor, _needs_grad, as_tensor, make_op, unbroadcast
 
 # ---------------------------------------------------------------------------
 # Buffer-pool plumbing
@@ -50,58 +50,81 @@ def _binary(ufunc, a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
+#
+# Binary ops coerce their operands with ``_operands``, so a Python scalar
+# takes the other operand's dtype (see ``as_tensor``).  Backward closures
+# skip the gradient of an operand that needs none (a constant: a scalar, a
+# mask, a diffusion support), returning ``None`` for it instead of paying a
+# full-size product and reduction that the graph walk would discard.
 # ---------------------------------------------------------------------------
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    if isinstance(a, Tensor):
+        return a, as_tensor(b, like=a)
+    b = as_tensor(b)
+    return as_tensor(a, like=b), b
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = _binary(np.add, a.data, b.data)
 
     def backward(grad):
-        return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
-
-    return make_op(out, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _binary(np.subtract, a.data, b.data)
-
-    def backward(grad):
-        return unbroadcast(grad, a.shape), unbroadcast(-grad, b.shape)
-
-    return make_op(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _binary(np.multiply, a.data, b.data)
-
-    def backward(grad):
         return (
-            unbroadcast(_binary(np.multiply, grad, b.data), a.shape),
-            unbroadcast(_binary(np.multiply, grad, a.data), b.shape),
+            unbroadcast(grad, a.shape) if _needs_grad(a) else None,
+            unbroadcast(grad, b.shape) if _needs_grad(b) else None,
         )
 
     return make_op(out, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _binary(np.divide, a.data, b.data)
+def sub(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    out = _binary(np.subtract, a.data, b.data)
 
     def backward(grad):
         return (
-            unbroadcast(_binary(np.divide, grad, b.data), a.shape),
-            unbroadcast(
+            unbroadcast(grad, a.shape) if _needs_grad(a) else None,
+            unbroadcast(-grad, b.shape) if _needs_grad(b) else None,
+        )
+
+    return make_op(out, (a, b), backward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    out = _binary(np.multiply, a.data, b.data)
+
+    def backward(grad):
+        ga = gb = None
+        if _needs_grad(a):
+            ga = unbroadcast(_binary(np.multiply, grad, b.data), a.shape)
+        if _needs_grad(b):
+            gb = unbroadcast(_binary(np.multiply, grad, a.data), b.shape)
+        return ga, gb
+
+    return make_op(out, (a, b), backward)
+
+
+def div(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    out = _binary(np.divide, a.data, b.data)
+
+    def backward(grad):
+        ga = gb = None
+        if _needs_grad(a):
+            ga = unbroadcast(_binary(np.divide, grad, b.data), a.shape)
+        if _needs_grad(b):
+            gb = unbroadcast(
                 _binary(
                     np.divide,
                     _binary(np.multiply, -grad, a.data),
                     _binary(np.multiply, b.data, b.data),
                 ),
                 b.shape,
-            ),
-        )
+            )
+        return ga, gb
 
     return make_op(out, (a, b), backward)
 
@@ -251,7 +274,7 @@ def clip(a, low: float, high: float) -> Tensor:
 
 
 def maximum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = np.maximum(a.data, b.data)
     mask = a.data >= b.data
 
@@ -266,7 +289,7 @@ def maximum(a, b) -> Tensor:
 
 def where(condition: np.ndarray, a, b) -> Tensor:
     """Select from ``a`` where ``condition`` (a plain boolean array) else ``b``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     cond = np.asarray(condition, dtype=bool)
     out = np.where(cond, a.data, b.data)
 
@@ -388,13 +411,18 @@ def matmul(a, b) -> Tensor:
             g = np.expand_dims(g, -2)
         if b.ndim == 1:
             g = np.expand_dims(g, -1)
-        ga = _matmul_data(g, np.swapaxes(b_data, -1, -2))
-        gb = _matmul_data(np.swapaxes(a_data, -1, -2), g)
-        if a.ndim == 1:
-            ga = np.squeeze(ga, -2)
-        if b.ndim == 1:
-            gb = np.squeeze(gb, -1)
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
+        ga = gb = None
+        if _needs_grad(a):
+            ga = _matmul_data(g, np.swapaxes(b_data, -1, -2))
+            if a.ndim == 1:
+                ga = np.squeeze(ga, -2)
+            ga = unbroadcast(ga, a.shape)
+        if _needs_grad(b):
+            gb = _matmul_data(np.swapaxes(a_data, -1, -2), g)
+            if b.ndim == 1:
+                gb = np.squeeze(gb, -1)
+            gb = unbroadcast(gb, b.shape)
+        return ga, gb
 
     return make_op(out, (a, b), backward)
 

@@ -31,6 +31,10 @@ from .pool import pool_paused
 
 DEFAULT_DTYPE = np.float32
 
+# Exact Python scalar types (``type(v) in``, not ``isinstance``: np.float64
+# subclasses float but is a strong numpy type that must keep its dtype).
+_PYTHON_SCALARS = (int, float)
+
 _grad_state = threading.local()
 
 
@@ -82,6 +86,9 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
+        if type(data) in _PYTHON_SCALARS:
+            # np.asarray would make a Python scalar a float64 0-d array.
+            data = np.asarray(data, dtype=DEFAULT_DTYPE)
         array = np.asarray(data)
         if array.dtype not in (np.float32, np.float64):
             array = array.astype(DEFAULT_DTYPE)
@@ -249,9 +256,20 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def as_tensor(value) -> Tensor:
-    """Coerce ``value`` (array-like, scalar, or Tensor) into a Tensor."""
-    return value if isinstance(value, Tensor) else Tensor(value)
+def as_tensor(value, like: Tensor | None = None) -> Tensor:
+    """Coerce ``value`` (array-like, scalar, or Tensor) into a Tensor.
+
+    A Python ``int``/``float`` takes the dtype of ``like`` when given — the
+    other operand of a binary op — the way NumPy 2 (NEP 50) treats Python
+    scalars as *weak*: ``x32 + 1e-5`` stays float32, ``x64 + 1e-5`` float64.
+    A 0-d array is a strong type, so wrapping the scalar at its own float64
+    would silently promote the whole graph.
+    """
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and type(value) in _PYTHON_SCALARS:
+        return Tensor(np.asarray(value, dtype=like.dtype))
+    return Tensor(value)
 
 
 def make_op(

@@ -80,6 +80,10 @@ class TrainResult:
     best_epoch: int = -1
     stopped_early: bool = False
     health: HealthReport = field(default_factory=HealthReport)
+    # Validation scores of the weights the model holds on return: the best
+    # epoch's when one improved, else the last epoch's.  Callers read them
+    # instead of re-scoring the restored weights (bitwise the same numbers).
+    val_scores: ForecastScores | None = None
     # The warm-resume snapshot captured at the epoch the run stopped on
     # (only when the caller asked via ``capture_state``; see
     # :func:`train_forecaster`).  Feeding it back as ``resume_state``
@@ -141,13 +145,13 @@ def train_forecaster(
     Fidelity resume (see ``docs/fidelity.md``): ``stop_after_epoch=k`` ends
     the run after epoch ``k`` (1-based count) without marking it early-
     stopped; ``capture_state=True`` attaches a full snapshot — current
-    weights (pre best-restore), best-so-far state, optimizer moments and
-    backed-off learning rate, batch-order and dropout RNG streams, monitor
-    state, histories — to ``result.state``.  Feeding that snapshot back as
-    ``resume_state`` (with the *same* config) continues the run so that the
-    final weights, histories, and scores are bitwise-identical to a single
-    uninterrupted training.  With all three defaults the loop is the exact
-    historical code path.
+    weights (pre best-restore), best-so-far state, ``val_scores``, optimizer
+    moments and backed-off learning rate, batch-order and dropout RNG
+    streams, monitor state, histories — to ``result.state``.  Feeding that
+    snapshot back as ``resume_state`` (with the *same* config) continues the
+    run so that the final weights, histories, and scores are
+    bitwise-identical to a single uninterrupted training.  With all three
+    defaults the loop is the exact historical code path.
     """
     optimizer = Adam(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay
@@ -162,6 +166,7 @@ def train_forecaster(
     if monitor is not None:
         result.health = monitor.report
     best_state: dict[str, np.ndarray] | None = None
+    best_scores = last_scores = None
     epochs_without_improvement = 0
     step = 0
     start_epoch = 0
@@ -173,6 +178,10 @@ def train_forecaster(
         rng.bit_generator.state = resume_state["rng"]
         _load_module_rng_states(model, resume_state["module_rngs"])
         best_state = resume_state["best_state"]
+        # The snapshot's val_scores are best_state's when it is set, else
+        # the snapshot weights' own; the other name is unread until the next
+        # epoch sets it.
+        best_scores = last_scores = resume_state["val_scores"]
         result.train_losses = list(resume_state["train_losses"])
         result.val_maes = list(resume_state["val_maes"])
         result.best_val_mae = float(resume_state["best_val_mae"])
@@ -236,12 +245,14 @@ def train_forecaster(
                 float(np.mean(epoch_losses)) if epoch_losses else float("inf")
             )
 
-            val_mae = evaluate_forecaster(model, val_windows, config.batch_size).mae
+            last_scores = evaluate_forecaster(model, val_windows, config.batch_size)
+            val_mae = last_scores.mae
             result.val_maes.append(val_mae)
             if val_mae < result.best_val_mae:
                 result.best_val_mae = val_mae
                 result.best_epoch = epoch
                 best_state = model.state_dict()
+                best_scores = last_scores
                 epochs_without_improvement = 0
             else:
                 epochs_without_improvement += 1
@@ -255,6 +266,7 @@ def train_forecaster(
         train_span.set(
             best_epoch=result.best_epoch, stopped_early=result.stopped_early
         )
+    result.val_scores = best_scores if best_state is not None else last_scores
     if capture_state:
         # Snapshot *before* the best-state restore below: resume needs the
         # end-of-epoch weights the next epoch would have trained from.
@@ -263,6 +275,7 @@ def train_forecaster(
             "done": result.stopped_early or epochs_done >= config.epochs,
             "model": model.state_dict(),
             "best_state": best_state,
+            "val_scores": result.val_scores,
             "optimizer": optimizer.state_dict(),
             "lr": float(optimizer.lr),
             "rng": rng.bit_generator.state,

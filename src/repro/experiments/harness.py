@@ -40,6 +40,7 @@ from ..embedding.task_encoder import (
 )
 from ..embedding.ts2vec import TS2Vec, TS2VecConfig
 from ..metrics import ForecastScores
+from ..runtime.fingerprint import CACHE_KEY_VERSION
 from ..search.evolutionary import EvolutionConfig
 from ..search.zero_shot import ZeroShotConfig, ZeroShotResult, ZeroShotSearch
 from ..space.sampling import JointSearchSpace
@@ -290,8 +291,10 @@ def pretrain_variant(
     cache_path = None
     if cache_dir is not None:
         # The key carries every knob that shapes the pre-trained artifact so
-        # editing the scale invalidates stale caches.
+        # editing the scale invalidates stale caches, and the score-semantics
+        # version so artifacts pre-trained on older proxy labels miss too.
         fingerprint = (
+            f"v{CACHE_KEY_VERSION}-"
             f"{scale.n_pretrain_subsets}-{scale.shared_samples}-"
             f"{scale.random_samples}-{scale.proxy_epochs}-{scale.pretrain_epochs}-"
             f"{scale.pretrain_pairs_per_task}-{scale.preliminary_dim}"

@@ -24,7 +24,10 @@ from ..tasks.task import Task
 # old cache entries then simply stop matching.
 # v2: im2col conv kernels reorder the gemm reductions, shifting proxy scores
 # within float tolerance — cached v1 scores no longer match the new kernels.
-CACHE_KEY_VERSION = 2
+# v3: Python-scalar constants keep their operand's dtype (NEP 50), so training
+# stays float32 instead of promoting to float64 at the first ChannelNorm2d —
+# proxy scores shift within float32 tolerance of the v2 values.
+CACHE_KEY_VERSION = 3
 
 
 def _array_digest(array: np.ndarray) -> str:

@@ -292,7 +292,7 @@ class AutoCTSPlusSearch:
                         candidate, task.data, task.horizon, seed=config.seed
                     )
                     try:
-                        train_forecaster(
+                        trained = train_forecaster(
                             model,
                             prepared.train,
                             prepared.val,
@@ -306,8 +306,9 @@ class AutoCTSPlusSearch:
                     except DivergenceError:
                         handle.set(diverged=True)
                         continue  # diverged candidate: automatic loser
-                    val = evaluate_forecaster(model, prepared.val, config.batch_size)
-                    primary = val.primary(single_step=task.single_step)
+                    primary = trained.val_scores.primary(
+                        single_step=task.single_step
+                    )
                     handle.set(val=float(primary))
                     if np.isfinite(primary) and primary < best_val:
                         best_val = primary

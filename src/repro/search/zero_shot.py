@@ -148,7 +148,7 @@ class ZeroShotSearch:
                 candidate, task.data, task.horizon, seed=config.seed
             )
             try:
-                train_forecaster(
+                trained = train_forecaster(
                     model,
                     prepared.train,
                     prepared.val,
@@ -164,8 +164,7 @@ class ZeroShotSearch:
             except DivergenceError:
                 val_scores.append(SENTINEL_SCORE)
                 continue  # diverged candidate: automatic loser
-            val = evaluate_forecaster(model, prepared.val, config.batch_size)
-            val_primary = val.primary(single_step=task.single_step)
+            val_primary = trained.val_scores.primary(single_step=task.single_step)
             if not np.isfinite(val_primary):
                 val_scores.append(SENTINEL_SCORE)
                 continue

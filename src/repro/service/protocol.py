@@ -42,7 +42,7 @@ from ..data.datasets import (
 )
 from ..data.transforms import IMPUTATION_POLICIES
 from ..runtime.evaluator import DIVERGENCE_POLICIES
-from ..runtime.fingerprint import task_fingerprint_material
+from ..runtime.fingerprint import CACHE_KEY_VERSION, task_fingerprint_material
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
@@ -441,12 +441,15 @@ def request_fingerprint(request: JobRequest, engine_fingerprint: str) -> str:
     Hashes everything that determines the *result*: the job kind, the task's
     contents (data digests, not just names), the job options, the
     score-relevant runtime overrides, and the identity of the serving engine
-    (its pre-trained weights).  Tenant identity and score-inert runtime
-    knobs are excluded — that is what makes cross-tenant dedup sound.
+    (its pre-trained weights), plus the score-semantics version, so a result
+    computed under older semantics is never served from the registry.
+    Tenant identity and score-inert runtime knobs are excluded — that is
+    what makes cross-tenant dedup sound.
     """
     task = request.build_task()
     material = {
         "protocol": PROTOCOL_VERSION,
+        "key_version": CACHE_KEY_VERSION,
         "kind": request.kind,
         "task": task_fingerprint_material(task),
         "options": request.options,

@@ -130,12 +130,10 @@ def measure_arch_hyper(
         model = build_forecaster(
             arch_hyper, task.data, task.horizon, seed=config.seed
         )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            train_forecaster(
-                model, prepared.train, prepared.val, config.train_config()
-            )
-            scores = evaluate_forecaster(model, prepared.val, config.batch_size)
-            value = float(scores.primary(single_step=task.single_step))
+        scores = train_forecaster(
+            model, prepared.train, prepared.val, config.train_config()
+        ).val_scores
+        value = float(scores.primary(single_step=task.single_step))
         return _checked(value, arch_hyper, task)
     return _measure_with_fidelity(arch_hyper, task, config)
 
@@ -179,18 +177,16 @@ def _measure_with_fidelity(
         snapshot = None
     prepared = task.prepared
     model = build_forecaster(arch_hyper, task.data, task.horizon, seed=config.seed)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = train_forecaster(
-            model,
-            prepared.train,
-            prepared.val,
-            config.train_config(),
-            stop_after_epoch=None if budget >= config.epochs else budget,
-            resume_state=snapshot,
-            capture_state=store is not None,
-        )
-        scores = evaluate_forecaster(model, prepared.val, config.batch_size)
-        value = float(scores.primary(single_step=task.single_step))
+    result = train_forecaster(
+        model,
+        prepared.train,
+        prepared.val,
+        config.train_config(),
+        stop_after_epoch=None if budget >= config.epochs else budget,
+        resume_state=snapshot,
+        capture_state=store is not None,
+    )
+    value = float(result.val_scores.primary(single_step=task.single_step))
     if store is not None and result.state is not None:
         store.save(arch_hyper, task, config, result.state)
     return _checked(value, arch_hyper, task)

@@ -172,6 +172,85 @@ class TestLinalgAndShape:
         check_gradients(lambda w: ad.embedding(w, idx), [_rand(4, 5)])
 
 
+class TestScalarDtype:
+    """Python scalars are weak (NEP 50): they take the other operand's dtype."""
+
+    PAIRS = [
+        (lambda t: t + 1e-5, lambda a: a + 1e-5),
+        (lambda t: 1e-5 + t, lambda a: 1e-5 + a),
+        (lambda t: t - 3, lambda a: a - 3),
+        (lambda t: 2.5 - t, lambda a: 2.5 - a),
+        (lambda t: t * 0.1, lambda a: a * 0.1),
+        (lambda t: 0.1 * t, lambda a: 0.1 * a),
+        (lambda t: t / 7.0, lambda a: a / 7.0),
+        (lambda t: 7.0 / t, lambda a: 7.0 / a),
+        (lambda t: ad.maximum(t, 1.0), lambda a: np.maximum(a, 1.0)),
+        (lambda t: ad.where(t.data > 1.0, t, 0.5), lambda a: np.where(a > 1.0, a, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_python_scalar_keeps_operand_dtype(self, dtype, pair):
+        op, reference = self.PAIRS[pair]
+        data = (np.abs(_rand(3, 4)) + 0.5).astype(dtype)
+        out = op(Tensor(data, requires_grad=True))
+        expected = reference(data)
+        assert out.data.dtype == expected.dtype
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_bare_python_scalar_is_default_dtype(self):
+        assert Tensor(2.0).dtype == np.float32
+        assert Tensor(3).dtype == np.float32
+
+    def test_numpy_scalars_are_strong(self):
+        # np.float64 subclasses float but is a numpy type: it keeps float64,
+        # as it does in numpy itself.
+        t32 = Tensor(np.ones(3, dtype=np.float32))
+        assert isinstance(np.float64(0.5), float)
+        assert (t32 * np.float64(0.5)).dtype == np.float64
+        assert (t32 / t32.data.sum()).dtype == np.float32
+        t64 = Tensor(np.ones(3))
+        assert (t64 / t64.data.sum()).dtype == np.float64
+        assert (t64 / t64.sum()).dtype == np.float64
+
+    def test_float64_gradcheck_with_scalar_constants(self):
+        # Constants stay float64 in a float64 graph, so the finite-difference
+        # check keeps its tight tolerance.
+        check_gradients(lambda a: (1e-3 + a) * 0.37 / 3.0 - 1e-7, [_rand(3, 4)])
+
+
+class TestDeadGradients:
+    """An operand that needs no gradient gets ``None``, and the other
+    operand's gradient is bitwise what it is when both need one."""
+
+    CASES = [
+        (ad.matmul, (2, 3, 4), (4, 5)),
+        (ad.matmul, (4, 4), (2, 3, 4, 5)),  # a constant (N, N) support
+        (ad.mul, (3, 4), (4,)),
+        (ad.div, (3, 4), (3, 4)),
+        (ad.add, (3, 4), (1, 4)),
+        (ad.sub, (3, 4), (3, 1)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_operand_gets_none(self, case, constant):
+        op, shape_a, shape_b = self.CASES[case]
+        data = [
+            _rand(*shape_a).astype(np.float32),
+            (np.abs(_rand(*shape_b)) + 0.5).astype(np.float32),
+        ]
+        both = op(*(Tensor(d, requires_grad=True) for d in data))
+        grad = _rand(*both.shape).astype(np.float32)
+        reference = both._backward(grad)
+        one = op(*(Tensor(d, requires_grad=i != constant) for i, d in enumerate(data)))
+        grads = one._backward(grad)
+        assert grads[constant] is None
+        live = 1 - constant
+        assert grads[live].dtype == reference[live].dtype
+        assert grads[live].tobytes() == reference[live].tobytes()
+
+
 class TestComposite:
     def test_softmax_rows_sum_to_one(self):
         out = ad.softmax(Tensor(_rand(3, 5)), axis=-1)

@@ -1,9 +1,12 @@
 """Tests for ST-blocks, the CTS forecaster, and the training loop."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
+from repro.autodiff.tensor import _topological_order
 from repro.core import (
     CTSForecaster,
     STBlock,
@@ -13,7 +16,8 @@ from repro.core import (
     predict,
     train_forecaster,
 )
-from repro.data import CTSData, make_windows, split_windows
+from repro.data import CTSData, WindowSet, make_windows, split_windows
+from repro.nn.loss import mae_loss, masked_mae_loss
 from repro.operators import OperatorContext
 from repro.space import ArchHyper, Architecture, Edge, HyperParameters
 
@@ -116,6 +120,43 @@ class TestForecaster:
         model = build_forecaster(_arch_hyper(), data, horizon=4)
         assert model.horizon == 4
 
+    @pytest.mark.parametrize("output_mode", [0, 1])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_training_step_stays_float32(self, output_mode, masked):
+        # Every candidate operator, dropout on: no op output and no grad may
+        # be promoted to float64 by a Python-scalar constant.
+        arch = Architecture(5, (
+            Edge(0, 1, "gdcc"), Edge(1, 2, "inf_t"), Edge(2, 3, "dgcn"),
+            Edge(3, 4, "inf_s"), Edge(0, 4, "skip"),
+        ))
+        hyper = _hyper(5, num_blocks=2, output_mode=output_mode, dropout=1)
+        model = build_forecaster(ArchHyper(arch, hyper), _sine_data(), horizon=3)
+        model.train()
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 8, 4, 1)).astype(np.float32)
+        y = rng.standard_normal((2, 3, 4, 1)).astype(np.float32)
+        prediction = model(Tensor(x))
+        if masked:
+            loss = masked_mae_loss(prediction, y, mask=rng.random(y.shape) > 0.3)
+        else:
+            loss = mae_loss(prediction, y)
+        nodes = _topological_order(loss)
+        assert len(nodes) > 100
+        assert {node.data.dtype for node in nodes} == {np.dtype(np.float32)}
+        loss.backward()
+        grads = [p.grad for p in model.parameters() if p.grad is not None]
+        assert grads
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+
+    def test_float64_input_stays_float64(self):
+        model = CTSForecaster(_arch_hyper(), 4, 1, 2)
+        x = np.random.default_rng(0).standard_normal((2, 8, 4, 1))
+        prediction = model(Tensor(x))
+        assert prediction.dtype == np.float64
+        mask = np.ones(prediction.shape, dtype=bool)
+        loss = masked_mae_loss(prediction, np.zeros(prediction.shape), mask=mask)
+        assert loss.dtype == np.float64
+
     def test_gradients_flow_end_to_end(self):
         model = CTSForecaster(_arch_hyper(), 4, 1, 2)
         x = np.random.default_rng(0).standard_normal((2, 8, 4, 1)).astype(np.float32)
@@ -148,6 +189,39 @@ class TestTrainer:
         )
         final_val = evaluate_forecaster(model, val).mae
         assert final_val == pytest.approx(result.best_val_mae, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "run",
+        ["early_stopped", "full", "stop_after_epoch", "resumed_done", "never_improved"],
+    )
+    def test_val_scores_are_the_returned_weights_scores(self, run):
+        train, val, _ = self._windows()
+        if run == "never_improved":
+            val = WindowSet(val.x, np.full_like(val.y, np.nan))
+        patience = 1 if run == "early_stopped" else 6
+        config = TrainConfig(epochs=6, batch_size=16, patience=patience, lr=0.05)
+        model = build_forecaster(_arch_hyper(), _sine_data(), horizon=4)
+        result = train_forecaster(
+            model, train, val, config,
+            stop_after_epoch=3 if run == "stop_after_epoch" else None,
+            capture_state=run == "resumed_done",
+        )
+        if run == "resumed_done":
+            assert result.state["done"]
+            model = build_forecaster(_arch_hyper(), _sine_data(), horizon=4)
+            result = train_forecaster(
+                model, train, val, config, resume_state=result.state
+            )
+            assert result.epochs_trained == 6
+        assert result.stopped_early == (run in ("early_stopped", "never_improved"))
+        if run == "early_stopped":
+            assert result.best_epoch < result.epochs_trained - 1  # restored
+        if run == "never_improved":
+            assert result.best_epoch == -1
+        fresh = evaluate_forecaster(model, val, config.batch_size)
+        assert np.array(astuple(result.val_scores)).tobytes() == (
+            np.array(astuple(fresh)).tobytes()
+        )
 
     def test_predict_shapes(self):
         train, val, test = self._windows()

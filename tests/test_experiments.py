@@ -86,6 +86,21 @@ class TestPretrainAndSearch:
         for key in state1:
             np.testing.assert_array_equal(state1[key], state2[key])
 
+    def test_score_semantics_version_change_misses_cache(self, tmp_path, monkeypatch):
+        from repro.experiments import harness
+
+        pretrain_variant(SMOKE, "full", seed=1, cache_dir=tmp_path)
+
+        def recompute(*args, **kwargs):
+            raise LookupError("cache miss")
+
+        # A hit never collects samples; a miss does, and fails loudly here.
+        monkeypatch.setattr(harness, "collect_task_samples", recompute)
+        pretrain_variant(SMOKE, "full", seed=1, cache_dir=tmp_path)
+        monkeypatch.setattr(harness, "CACHE_KEY_VERSION", harness.CACHE_KEY_VERSION + 1)
+        with pytest.raises(LookupError, match="cache miss"):
+            pretrain_variant(SMOKE, "full", seed=1, cache_dir=tmp_path)
+
     def test_cache_write_is_atomic(self, tmp_path):
         pretrain_variant(SMOKE, "full", seed=1, cache_dir=tmp_path)
         assert list(tmp_path.glob("*.pkl"))

@@ -350,6 +350,15 @@ class TestDedup:
         assert second["deduped"]
         assert first["job"]["fingerprint"] == second["job"]["fingerprint"]
 
+    def test_score_semantics_version_change_misses_dedup(self, service, monkeypatch):
+        # A result computed under older score semantics must not be served.
+        payload = {"kind": "collect", "task": _task_spec(), "options": {"n_samples": 2}}
+        _, first = service.request("/jobs", payload)
+        monkeypatch.setattr(protocol, "CACHE_KEY_VERSION", protocol.CACHE_KEY_VERSION + 1)
+        _, second = service.request("/jobs", payload)
+        assert not second["deduped"]
+        assert first["job"]["fingerprint"] != second["job"]["fingerprint"]
+
 
 class TestKillRestart:
     def test_daemon_kill_and_restart_resumes_bitwise(self, tmp_path):
