@@ -1,30 +1,24 @@
 """Training-step throughput of the optimized kernel substrate.
 
 Measures real proxy-style training steps (forward + backward + Adam) of a
-sampled forecaster on a synthetic CTS task under three kernel
+sampled forecaster on a synthetic CTS task under two kernel
 configurations:
 
 * ``reference`` — the pre-optimization paths: per-tap Python conv loops and
-  unfused elementwise chains (``$REPRO_REFERENCE_KERNELS``), no pooling,
-* ``optimized`` — im2col single-gemm convolutions + fused kernels, pooling
-  off,
-* ``pooled``    — optimized kernels with the generational buffer pool
-  recycling forward/gradient buffers across steps.
+  unfused elementwise chains (``$REPRO_REFERENCE_KERNELS``),
+* ``optimized`` — im2col single-gemm convolutions + fused kernels.
 
-All three run the same batches from the same seeds; ``pooled`` final
-parameters are asserted bitwise-identical to ``optimized`` (the guarantee
-that keeps ``buffer_pool`` out of eval-cache fingerprints).  A separate
-profiled run collects per-kernel timings via the ``repro.obs.profile``
-hooks.  Results are machine-readable JSON at
+Both run the same batches from the same seeds.  A separate profiled run
+collects per-kernel timings via the ``repro.obs.profile`` hooks.  Results are machine-readable JSON at
 ``benchmarks/results/train_step.json``:
 
 * a ``default``-size section (the headline speedup numbers), and
 * a ``tiny``-size section, the size the CI gate runs —
-  ``--check`` reruns tiny and fails when an optimized mode's speedup over
-  the reference kernels, measured in that same run, falls below
+  ``--check`` reruns tiny and fails when the optimized kernels' speedup
+  over the reference kernels, measured in that same run, falls below
   ``MIN_SPEEDUP_VS_REFERENCE``.
 
-The three modes take turns over ``rounds`` rounds, in a rotating order, so
+The two modes take turns over ``rounds`` rounds, in a rotating order, so
 a slow spell of a shared host lands on all of them alike.  A speedup is the
 median of its per-round paired ratios, reported with their interquartile
 range.
@@ -44,14 +38,12 @@ import os
 import statistics
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from repro.autodiff import Tensor
 from repro.autodiff.fused import REFERENCE_KERNELS_ENV
-from repro.autodiff.pool import BufferPool
 from repro.core.model import build_forecaster
 from repro.data import CTSData
 from repro.data.windows import iterate_batches
@@ -65,28 +57,18 @@ from repro.space.hyperparams import HyperParameters
 from repro.tasks import Task
 
 RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
-# --check fails when an optimized mode's median speedup over the reference
+# --check fails when the optimized kernels' median speedup over the reference
 # kernels, both timed in the same run at the tiny size, falls below this
 # floor.  A ratio on one machine, not absolute step times recorded on
 # another; a kernel regressing to a per-tap Python loop brings it towards 1x.
 # Three runs of the gate (2-vCPU shared VM) measured medians of 1.83-1.94x,
 # with lower quartiles of 1.58-1.79x, while training ran in float64.  In
-# float32, three runs measured medians of 1.66-1.82x (optimized) and
-# 1.64-1.80x (pooled), with lower quartiles of 1.37-1.64x.
+# float32, three runs measured medians of 1.66-1.82x, with lower quartiles
+# of 1.37-1.64x.
 MIN_SPEEDUP_VS_REFERENCE = 1.5
 
-# (name, reference kernels, buffer pool)
-MODES = (
-    ("reference", True, False),
-    ("optimized", False, False),
-    ("pooled", False, True),
-)
-# Each speedup: (numerator mode, denominator mode) of seconds per step.
-SPEEDUPS = {
-    "optimized_vs_reference": ("reference", "optimized"),
-    "pooled_vs_reference": ("reference", "pooled"),
-    "pooled_vs_optimized": ("optimized", "pooled"),
-}
+# (name, reference kernels)
+MODES = (("reference", True), ("optimized", False))
 
 SIZES = {
     # Proxy-training-like size: the headline before/after measurement.
@@ -122,7 +104,7 @@ def _toy_task(nodes: int, t: int, p: int, q: int) -> Task:
 
 def _bench_arch(hidden: int) -> ArchHyper:
     """A fixed conv-heavy arch-hyper: gdcc (gated dilated causal convs) and
-    dgcn edges, the substrate the im2col/fused/pooled kernels optimize —
+    dgcn edges, the substrate the im2col/fused kernels optimize —
     and the dominant operators in the paper's discovered architectures.
     A fixed DAG (not a random sample) keeps the workload stable across
     benchmark revisions, so committed baselines stay comparable."""
@@ -154,47 +136,36 @@ def _materialize_batches(task: Task, batch_size: int) -> list:
 
 
 def run_mode(
-    name: str,
     task: Task,
     arch_hyper,
     batches: list,
     *,
     reference: bool,
-    pool: bool,
     warmup: int,
     steps: int,
-) -> dict:
-    """Time ``steps`` full training steps; returns timings + final params."""
+) -> float:
+    """Time ``steps`` full training steps; returns the median step time."""
     previous_env = os.environ.get(REFERENCE_KERNELS_ENV)
     os.environ[REFERENCE_KERNELS_ENV] = "1" if reference else "0"
     try:
         model = build_forecaster(arch_hyper, task.data, task.horizon, seed=0)
         model.train()
         optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=1e-4)
-        buffer_pool = BufferPool() if pool else None
         durations = []
         for step in range(warmup + steps):
             x, y = batches[step % len(batches)]
             start = time.perf_counter()
-            with buffer_pool.step() if buffer_pool is not None else nullcontext():
-                optimizer.zero_grad()
-                loss = mae_loss(model(Tensor(x)), y)
-                loss.item()
-                loss.backward()
-                clip_grad_norm(optimizer.parameters, 5.0)
-                optimizer.step()
+            optimizer.zero_grad()
+            loss = mae_loss(model(Tensor(x)), y)
+            loss.item()
+            loss.backward()
+            clip_grad_norm(optimizer.parameters, 5.0)
+            optimizer.step()
             if step >= warmup:
                 durations.append(time.perf_counter() - start)
         # Median, not mean: one scheduler hiccup on a shared box would
         # otherwise dominate a 10-step sample.
-        per_step = float(np.median(durations))
-        return {
-            "mode": name,
-            "steps": steps,
-            "seconds_per_step": per_step,
-            "pool_stats": buffer_pool.stats() if buffer_pool is not None else None,
-            "state": model.state_dict(),
-        }
+        return float(np.median(durations))
     finally:
         if previous_env is None:
             del os.environ[REFERENCE_KERNELS_ENV]
@@ -206,16 +177,7 @@ def profile_section(task: Task, arch_hyper, batches: list, steps: int = 5) -> di
     """Per-kernel timings/counts from the observability profiling hooks."""
     registry = MetricsRegistry()
     with metrics_scope(registry), profile(True):
-        run_mode(
-            "profiled",
-            task,
-            arch_hyper,
-            batches,
-            reference=False,
-            pool=True,
-            warmup=1,
-            steps=steps,
-        )
+        run_mode(task, arch_hyper, batches, reference=False, warmup=1, steps=steps)
     snapshot = registry.snapshot()
     ops = {
         name[len("profile.ops.") :]: snap["value"]
@@ -244,59 +206,39 @@ def run_size(size: str, with_profile: bool) -> dict:
     print(f"[{size}] nodes={spec['nodes']} t={spec['t']} "
           f"batch={spec['batch_size']} hidden={spec['hidden']} "
           f"steps={spec['steps']} rounds={spec['rounds']}")
-    runs = {name: [] for name, _, _ in MODES}
+    runs = {name: [] for name, _ in MODES}
     for round_ in range(spec["rounds"]):
         shift = round_ % len(MODES)
-        for name, reference, pool in MODES[shift:] + MODES[:shift]:
-            runs[name].append(run_mode(
-                name, task, arch_hyper, batches,
-                reference=reference, pool=pool, **common,
-            ))
-
-    for optimized, pooled in zip(runs["optimized"], runs["pooled"]):
-        if not all(
-            np.array_equal(optimized["state"][key], pooled["state"][key])
-            for key in optimized["state"]
-        ):
-            raise AssertionError(
-                "pooled training diverged bitwise from pool-off training"
+        for name, reference in MODES[shift:] + MODES[:shift]:
+            runs[name].append(
+                run_mode(task, arch_hyper, batches, reference=reference, **common)
             )
-    print("  pooled == optimized final parameters: bitwise identical")
 
     modes = {}
-    for name, results in runs.items():
-        per_step = statistics.median(r["seconds_per_step"] for r in results)
+    for name, per_round in runs.items():
+        per_step = statistics.median(per_round)
         modes[name] = {
             "mode": name,
             "steps": spec["steps"],
             "seconds_per_step": per_step,
             "steps_per_sec": 1.0 / per_step,
-            "pool_stats": results[-1]["pool_stats"],
         }
         print(
             f"  {name:>9}: {1.0 / per_step:8.2f} steps/s "
-            f"({per_step * 1e3:7.2f} ms/step, median of {len(results)} rounds)"
+            f"({per_step * 1e3:7.2f} ms/step, median of {len(per_round)} rounds)"
         )
 
-    speedup, speedup_rounds, speedup_iqr = {}, {}, {}
-    for key, (slow, fast) in SPEEDUPS.items():
-        paired = [
-            a["seconds_per_step"] / b["seconds_per_step"]
-            for a, b in zip(runs[slow], runs[fast])
-        ]
-        q = statistics.quantiles(paired, n=4)
-        speedup[key] = statistics.median(paired)
-        speedup_rounds[key] = paired
-        speedup_iqr[key] = [q[0], q[2]]
-        print(f"  {key}: {speedup[key]:.2f}x (IQR {q[0]:.2f}-{q[2]:.2f})")
+    paired = [a / b for a, b in zip(runs["reference"], runs["optimized"])]
+    q = statistics.quantiles(paired, n=4)
+    speedup = statistics.median(paired)
+    print(f"  optimized_vs_reference: {speedup:.2f}x (IQR {q[0]:.2f}-{q[2]:.2f})")
 
     section = {
         "config": spec,
         "modes": modes,
-        "speedup": speedup,
-        "speedup_iqr": speedup_iqr,
-        "speedup_rounds": speedup_rounds,
-        "bitwise_pooled_equals_unpooled": True,
+        "speedup": {"optimized_vs_reference": speedup},
+        "speedup_iqr": {"optimized_vs_reference": [q[0], q[2]]},
+        "speedup_rounds": {"optimized_vs_reference": paired},
     }
     if with_profile:
         section["profile"] = profile_section(task, arch_hyper, batches)
@@ -304,25 +246,18 @@ def run_size(size: str, with_profile: bool) -> dict:
 
 
 def check_speedup() -> int:
-    """CI gate: rerun tiny, fail when an optimized mode loses its speedup
-    over the reference kernels measured in the same run."""
+    """CI gate: rerun tiny, fail when the optimized kernels lose their
+    speedup over the reference kernels measured in the same run."""
     current = run_size("tiny", with_profile=False)
-    failures = []
-    for mode in ("optimized", "pooled"):
-        speedup = current["speedup"][f"{mode}_vs_reference"]
-        low, high = current["speedup_iqr"][f"{mode}_vs_reference"]
-        ok = speedup >= MIN_SPEEDUP_VS_REFERENCE
-        print(
-            f"check {mode}: {speedup:.2f}x the reference kernels "
-            f"(IQR {low:.2f}-{high:.2f}, floor {MIN_SPEEDUP_VS_REFERENCE}x) "
-            f"{'OK' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append(mode)
-    if failures:
-        print(f"speedup regression in: {', '.join(failures)}")
-        return 1
-    return 0
+    speedup = current["speedup"]["optimized_vs_reference"]
+    low, high = current["speedup_iqr"]["optimized_vs_reference"]
+    ok = speedup >= MIN_SPEEDUP_VS_REFERENCE
+    print(
+        f"check optimized: {speedup:.2f}x the reference kernels "
+        f"(IQR {low:.2f}-{high:.2f}, floor {MIN_SPEEDUP_VS_REFERENCE}x) "
+        f"{'OK' if ok else 'REGRESSION'}"
+    )
+    return 0 if ok else 1
 
 
 def main() -> int:

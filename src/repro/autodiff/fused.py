@@ -7,8 +7,7 @@ loss ``mean(|prediction - target|)`` (three nodes).  Each fused kernel here
 collapses one such chain into a single autodiff node computing the *same
 floating-point operations in the same order* as the chain it replaces — so
 fused and unfused paths are bitwise identical, forward and backward — while
-eliminating the intermediate ``Tensor`` bookkeeping and reusing pooled
-``out=`` buffers for the temporaries (see :mod:`repro.autodiff.pool`).
+eliminating the intermediate ``Tensor`` bookkeeping.
 
 Two switches fall back to the unfused chains:
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from .anomaly import anomaly_enabled
 from .tensor import Tensor, _needs_grad, as_tensor, make_op, unbroadcast
-from .pool import take_buffer
 
 REFERENCE_KERNELS_ENV = "REPRO_REFERENCE_KERNELS"
 
@@ -57,7 +55,7 @@ def gated_tanh_sigmoid(filter_in, gate_in) -> Tensor:
     passes (same ops, same order, same stable sigmoid formulation).
     """
     f, g = as_tensor(filter_in), as_tensor(gate_in)
-    t = np.tanh(f.data, out=take_buffer(f.shape, f.dtype))
+    t = np.tanh(f.data)
     # Same stable single-divide sigmoid as repro.autodiff.ops.sigmoid —
     # bitwise-identical element math keeps fused == unfused exact.
     positive = g.data >= 0
@@ -65,7 +63,7 @@ def gated_tanh_sigmoid(filter_in, gate_in) -> Tensor:
     numerator = np.where(positive, 1.0, e)
     np.add(e, 1.0, out=e)
     s = np.divide(numerator, e, out=numerator)
-    out = np.multiply(t, s, out=take_buffer(t.shape, np.result_type(t, s)))
+    out = t * s
 
     def backward(grad):
         # Same expressions (and evaluation order) the unfused chain's
@@ -85,26 +83,14 @@ def mean_absolute_error(prediction, target) -> Tensor:
     backward is the chain's composition ``±(grad / n) * sign(diff)``.
     """
     p, t = as_tensor(prediction), as_tensor(target)
-    diff = _binary_sub(p.data, t.data)
+    diff = p.data - t.data
     out = np.abs(diff).mean()
     count = diff.size
 
     def backward(grad):
         scaled = grad / count
-        signed = _expanded_sign_product(scaled, diff)
+        signed = scaled * np.sign(diff)
         gt = unbroadcast(np.negative(signed), t.shape) if _needs_grad(t) else None
         return unbroadcast(signed, p.shape), gt
 
     return make_op(out, (p, t), backward)
-
-
-def _binary_sub(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
-    pool_shape = np.broadcast_shapes(a_data.shape, b_data.shape)
-    buffer = take_buffer(pool_shape, np.result_type(a_data, b_data))
-    return np.subtract(a_data, b_data, out=buffer)
-
-
-def _expanded_sign_product(scaled: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """``broadcast(scaled) * sign(diff)`` — the mean-then-abs grad chain."""
-    buffer = take_buffer(diff.shape, np.result_type(scaled, diff))
-    return np.multiply(scaled, np.sign(diff), out=buffer)

@@ -12,41 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pool import active_pool, take_buffer
 from .tensor import Tensor, _needs_grad, as_tensor, make_op, unbroadcast
-
-# ---------------------------------------------------------------------------
-# Buffer-pool plumbing
-#
-# When a BufferPool is active (training steps, see repro.autodiff.pool) the
-# elementwise and matmul ops compute into recycled ``out=`` buffers instead
-# of fresh allocations.  A ufunc writing into an ``out`` buffer of the exact
-# result dtype produces bitwise-identical values, so pooled and pool-free
-# runs cannot diverge; with no active pool these helpers reduce to the plain
-# numpy expressions.
-# ---------------------------------------------------------------------------
-
-
-def _unary(ufunc, a_data: np.ndarray) -> np.ndarray:
-    return ufunc(a_data, out=take_buffer(a_data.shape, a_data.dtype))
-
-
-def _binary(ufunc, a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
-    pool = active_pool()
-    if pool is None:
-        return ufunc(a_data, b_data)
-    # Fast path for the overwhelmingly common same-shape/same-dtype case;
-    # broadcast_shapes/result_type cost real time at ~1e3 calls per step.
-    if a_data.shape == b_data.shape:
-        shape = a_data.shape
-    else:
-        shape = np.broadcast_shapes(a_data.shape, b_data.shape)
-    if a_data.dtype == b_data.dtype:
-        dtype = a_data.dtype
-    else:
-        dtype = np.result_type(a_data, b_data)
-    return ufunc(a_data, b_data, out=pool.take(shape, dtype))
-
 
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
@@ -68,7 +34,7 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = _binary(np.add, a.data, b.data)
+    out = a.data + b.data
 
     def backward(grad):
         return (
@@ -81,7 +47,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = _binary(np.subtract, a.data, b.data)
+    out = a.data - b.data
 
     def backward(grad):
         return (
@@ -94,14 +60,14 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = _binary(np.multiply, a.data, b.data)
+    out = a.data * b.data
 
     def backward(grad):
         ga = gb = None
         if _needs_grad(a):
-            ga = unbroadcast(_binary(np.multiply, grad, b.data), a.shape)
+            ga = unbroadcast(grad * b.data, a.shape)
         if _needs_grad(b):
-            gb = unbroadcast(_binary(np.multiply, grad, a.data), b.shape)
+            gb = unbroadcast(grad * a.data, b.shape)
         return ga, gb
 
     return make_op(out, (a, b), backward)
@@ -109,21 +75,14 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = _binary(np.divide, a.data, b.data)
+    out = a.data / b.data
 
     def backward(grad):
         ga = gb = None
         if _needs_grad(a):
-            ga = unbroadcast(_binary(np.divide, grad, b.data), a.shape)
+            ga = unbroadcast(grad / b.data, a.shape)
         if _needs_grad(b):
-            gb = unbroadcast(
-                _binary(
-                    np.divide,
-                    _binary(np.multiply, -grad, a.data),
-                    _binary(np.multiply, b.data, b.data),
-                ),
-                b.shape,
-            )
+            gb = unbroadcast((-grad * a.data) / (b.data * b.data), b.shape)
         return ga, gb
 
     return make_op(out, (a, b), backward)
@@ -135,7 +94,7 @@ def neg(a) -> Tensor:
     def backward(grad):
         return (-grad,)
 
-    return make_op(_unary(np.negative, a.data), (a,), backward)
+    return make_op(-a.data, (a,), backward)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -171,27 +130,27 @@ def absolute(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = _unary(np.exp, a.data)
+    out = np.exp(a.data)
 
     def backward(grad):
-        return (_binary(np.multiply, grad, out),)
+        return (grad * out,)
 
     return make_op(out, (a,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = _unary(np.log, a.data)
+    out = np.log(a.data)
 
     def backward(grad):
-        return (_binary(np.divide, grad, a.data),)
+        return (grad / a.data,)
 
     return make_op(out, (a,), backward)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = _unary(np.tanh, a.data)
+    out = np.tanh(a.data)
 
     def backward(grad):
         return (grad * (1.0 - out * out),)
@@ -209,7 +168,7 @@ def sigmoid(a) -> Tensor:
     e = np.exp(np.where(positive, -a.data, a.data))
     numerator = np.where(positive, 1.0, e)
     np.add(e, 1.0, out=e)  # the shared denominator, reusing e's buffer
-    out = np.divide(numerator, e, out=take_buffer(a.shape, numerator.dtype))
+    out = numerator / e
 
     def backward(grad):
         return (grad * out * (1.0 - out),)
@@ -220,18 +179,10 @@ def sigmoid(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    buffer = take_buffer(a.shape, a.dtype)
-    if buffer is None:
-        out = np.where(mask, a.data, 0.0)
-    else:
-        # Bitwise-equal to the np.where formulation: keep a where the mask
-        # holds, exact 0.0 elsewhere (np.where lacks an ``out=`` parameter).
-        buffer.fill(0.0)
-        np.copyto(buffer, a.data, where=mask)
-        out = buffer
+    out = np.where(mask, a.data, 0.0)
 
     def backward(grad):
-        return (_binary(np.multiply, grad, mask),)
+        return (grad * mask,)
 
     return make_op(out, (a,), backward)
 
@@ -315,15 +266,6 @@ def _normalize_axis(axis, ndim: int) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axis)
 
 
-def _expand_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Materialize a reduction gradient broadcast up to ``shape`` (pooled)."""
-    buffer = take_buffer(shape, g.dtype)
-    if buffer is None:
-        return np.broadcast_to(g, shape).copy()
-    np.copyto(buffer, g)
-    return buffer
-
-
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -333,7 +275,7 @@ def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
         g = grad
         if not keepdims:
             g = np.expand_dims(g, axes) if axes else g
-        return (_expand_grad(g, a.shape),)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return make_op(out, (a,), backward)
 
@@ -348,7 +290,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         g = grad / count
         if not keepdims:
             g = np.expand_dims(g, axes) if axes else g
-        return (_expand_grad(g, a.shape),)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return make_op(out, (a,), backward)
 
@@ -381,25 +323,10 @@ def variance(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _matmul_data(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
-    """``np.matmul`` writing into a pooled buffer when a pool is active."""
-    pool = active_pool()
-    if pool is None or a_data.ndim < 2 or b_data.ndim < 2:
-        return np.matmul(a_data, b_data)
-    batch = np.broadcast_shapes(a_data.shape[:-2], b_data.shape[:-2])
-    shape = batch + (a_data.shape[-2], b_data.shape[-1])
-    dtype = (
-        a_data.dtype
-        if a_data.dtype == b_data.dtype
-        else np.result_type(a_data, b_data)
-    )
-    return np.matmul(a_data, b_data, out=pool.take(shape, dtype))
-
-
 def matmul(a, b) -> Tensor:
     """Batched matrix multiplication with numpy broadcasting rules."""
     a, b = as_tensor(a), as_tensor(b)
-    out = _matmul_data(a.data, b.data)
+    out = np.matmul(a.data, b.data)
 
     def backward(grad):
         if a.ndim == 1 and b.ndim == 1:
@@ -413,12 +340,12 @@ def matmul(a, b) -> Tensor:
             g = np.expand_dims(g, -1)
         ga = gb = None
         if _needs_grad(a):
-            ga = _matmul_data(g, np.swapaxes(b_data, -1, -2))
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
             if a.ndim == 1:
                 ga = np.squeeze(ga, -2)
             ga = unbroadcast(ga, a.shape)
         if _needs_grad(b):
-            gb = _matmul_data(np.swapaxes(a_data, -1, -2), g)
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
             if b.ndim == 1:
                 gb = np.squeeze(gb, -1)
             gb = unbroadcast(gb, b.shape)

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..obs.profile import profiling_enabled, record_op
 from .anomaly import anomaly_enabled, op_name_of, raise_non_finite
-from .pool import pool_paused
 
 DEFAULT_DTYPE = np.float32
 
@@ -162,18 +161,6 @@ class Tensor:
         # *owned*; contributions beyond that add in place into the owned
         # buffer — no further allocation for residual-style fan-out.
         owned: set[int] = set()
-        with pool_paused():
-            self._run_backward(order, grads, owned)
-
-    def _run_backward(
-        self,
-        order: "list[Tensor]",
-        grads: dict[int, np.ndarray],
-        owned: set[int],
-    ) -> None:
-        # Backward runs with the buffer pool paused: gradient temporaries
-        # are transient, and the allocator's immediate reuse beats recycled
-        # pool buffers on cache locality (see repro.autodiff.pool).
         profiled = profiling_enabled()
         check = anomaly_enabled()
         for node in order:

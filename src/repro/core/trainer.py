@@ -15,14 +15,12 @@ rather than a crash three epochs in.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
-from ..autodiff.pool import BufferPool, pooling_allowed
 from ..data.windows import WindowSet, iterate_batches, iterate_masked_batches
 from ..metrics import ForecastScores, evaluate_forecast
 from ..nn.loss import mae_loss, masked_mae_loss
@@ -51,12 +49,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     health: HealthConfig = field(default_factory=HealthConfig)
-    # Recycle forward/gradient buffers across steps (see repro.autodiff.pool).
-    # Score-inert: pooled training is bitwise-identical to pool-off training.
-    # Tri-state: None resolves $REPRO_BUFFER_POOL at use time (default on);
-    # an explicit bool — e.g. a per-job override threaded through a service
-    # payload — wins over the environment.
-    buffer_pool: bool | None = None
 
     def __post_init__(self) -> None:
         # Typed, construction-time validation (ConfigError subclasses
@@ -191,14 +183,6 @@ def train_forecaster(
         step = int(resume_state["step"])
         if monitor is not None and resume_state.get("monitor") is not None:
             monitor.load_state_dict(resume_state["monitor"])
-    # The pool is scoped strictly to the per-batch training step: buffers
-    # handed out inside `pool.step()` are reclaimed one generation later, and
-    # validation/inference below runs with no pool active, so arrays that
-    # outlive a step (val predictions, checkpoints) are never recycled.
-    pool_wanted = (
-        config.buffer_pool if config.buffer_pool is not None else pooling_allowed()
-    )
-    pool = BufferPool() if pool_wanted else None
     epochs_done = start_epoch
     with span(
         "train-forecaster", epochs=config.epochs
@@ -211,36 +195,31 @@ def train_forecaster(
             for x, y, y_mask in iterate_masked_batches(
                 train_windows, config.batch_size, rng=rng
             ):
-                with pool.step() if pool is not None else nullcontext():
-                    optimizer.zero_grad()
-                    # Maskless batches take the exact historical loss chain
-                    # (bitwise-identical clean path); masked batches exclude
-                    # unobserved targets from the objective.
-                    if y_mask is None:
-                        loss = mae_loss(model(Tensor(x)), y)
-                    else:
-                        loss = masked_mae_loss(model(Tensor(x)), y, mask=y_mask)
-                    loss_value = loss.item()
-                    step += 1
-                    if monitor is not None and not monitor.check_loss(
-                        epoch, step, loss_value
-                    ):
-                        continue
-                    loss.backward()
-                    if config.grad_clip:
-                        norm = clip_grad_norm(optimizer.parameters, config.grad_clip)
-                    else:
-                        norm = grad_norm(optimizer.parameters) if monitor else 0.0
-                    if monitor is not None and not monitor.check_grads(
-                        epoch, step, norm
-                    ):
-                        continue
-                    optimizer.step()
-                    if monitor is not None:
-                        monitor.step_ok()
-                    epoch_losses.append(loss_value)
-            if pool is not None:
-                pool.drain()
+                optimizer.zero_grad()
+                # Maskless batches take the exact historical loss chain
+                # (bitwise-identical clean path); masked batches exclude
+                # unobserved targets from the objective.
+                if y_mask is None:
+                    loss = mae_loss(model(Tensor(x)), y)
+                else:
+                    loss = masked_mae_loss(model(Tensor(x)), y, mask=y_mask)
+                loss_value = loss.item()
+                step += 1
+                if monitor is not None and not monitor.check_loss(
+                    epoch, step, loss_value
+                ):
+                    continue
+                loss.backward()
+                if config.grad_clip:
+                    norm = clip_grad_norm(optimizer.parameters, config.grad_clip)
+                else:
+                    norm = grad_norm(optimizer.parameters) if monitor else 0.0
+                if monitor is not None and not monitor.check_grads(epoch, step, norm):
+                    continue
+                optimizer.step()
+                if monitor is not None:
+                    monitor.step_ok()
+                epoch_losses.append(loss_value)
             result.train_losses.append(
                 float(np.mean(epoch_losses)) if epoch_losses else float("inf")
             )

@@ -17,9 +17,6 @@ Two kernel implementations coexist (see ``docs/performance.md``):
   primitives, selected by ``$REPRO_REFERENCE_KERNELS``.  It is the oracle
   the equivalence tests compare against and the honest "before" measured by
   ``benchmarks/bench_train_step.py``.
-
-Both paths reuse pooled ``out=`` buffers when a
-:class:`~repro.autodiff.pool.BufferPool` is active.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..autodiff import Tensor, matmul, pad
 from ..autodiff.fused import reference_kernels
-from ..autodiff.pool import take_buffer
 from ..autodiff.tensor import _needs_grad, as_tensor, make_op
 from . import init
 from .module import Module, Parameter
@@ -38,11 +34,6 @@ from .module import Module, Parameter
 # ---------------------------------------------------------------------------
 # im2col primitives (single-gemm forward, col2im-scatter backward)
 # ---------------------------------------------------------------------------
-
-
-def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    buffer = take_buffer(shape, dtype)
-    return buffer if buffer is not None else np.empty(shape, dtype)
 
 
 def im2col_conv(
@@ -64,7 +55,7 @@ def im2col_conv(
     receptive = (kernel - 1) * dilation
     if left or right:
         padded = xd.shape[:-1] + (xd.shape[-1] + left + right,)
-        xp = _empty(padded, xd.dtype)
+        xp = np.empty(padded, xd.dtype)
         if left:
             xp[..., :left] = 0
         if right:
@@ -82,14 +73,13 @@ def im2col_conv(
 
     # (B, C, *spatial, T_out, K) strided view of the dilated taps — no copy.
     taps = sliding_window_view(xp, receptive + 1, axis=-1)[..., ::dilation]
-    cols = _empty((batch, cin * kernel, flat), dtype)
+    cols = np.empty((batch, cin * kernel, flat), dtype)
     np.copyto(
         cols.reshape((batch, cin, kernel) + spatial + (tout,)),
         np.moveaxis(taps, -1, 2),
     )
     w2 = wd.reshape(cout, cin * kernel)
-    out3 = np.matmul(w2, cols, out=take_buffer((batch, cout, flat), dtype))
-    out = out3.reshape((batch, cout) + spatial + (tout,))
+    out = np.matmul(w2, cols).reshape((batch, cout) + spatial + (tout,))
 
     def backward(grad):
         g3 = grad.reshape(batch, cout, flat)
@@ -102,13 +92,9 @@ def im2col_conv(
             gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
             gw = gw.reshape(wd.shape)
         if _needs_grad(x):
-            gdtype = np.result_type(w2, g3)
-            gcols = np.matmul(
-                w2.transpose(), g3, out=take_buffer((batch, cin * kernel, flat), gdtype)
-            )
+            gcols = np.matmul(w2.transpose(), g3)
             g5 = gcols.reshape((batch, cin, kernel) + spatial + (tout,))
-            gxp = _empty((batch, cin) + spatial + (tpad,), gdtype)
-            gxp.fill(0.0)
+            gxp = np.zeros((batch, cin) + spatial + (tpad,), gcols.dtype)
             for k in range(kernel):
                 start = k * dilation
                 gxp[..., start : start + tout] += g5[:, :, k]
@@ -131,10 +117,8 @@ def channel_mix(x, weight) -> Tensor:
     spatial = xd.shape[2:]
     flat = int(np.prod(spatial, dtype=np.int64))
     cout = wd.shape[0]
-    dtype = np.result_type(xd, wd)
     x3 = xd.reshape(batch, cin, flat)
-    out3 = np.matmul(wd, x3, out=take_buffer((batch, cout, flat), dtype))
-    out = out3.reshape((batch, cout) + spatial)
+    out = np.matmul(wd, x3).reshape((batch, cout) + spatial)
 
     def backward(grad):
         g3 = grad.reshape(batch, cout, flat)
@@ -142,11 +126,7 @@ def channel_mix(x, weight) -> Tensor:
         if _needs_grad(weight):
             gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
         if _needs_grad(x):
-            gdtype = np.result_type(wd, g3)
-            gx3 = np.matmul(
-                wd.transpose(), g3, out=take_buffer((batch, cin, flat), gdtype)
-            )
-            gx = gx3.reshape(xd.shape)
+            gx = np.matmul(wd.transpose(), g3).reshape(xd.shape)
         return gx, gw
 
     return make_op(out, (x, weight), backward)

@@ -20,7 +20,7 @@ Per-job runtime overrides (see
 :class:`~repro.service.protocol.RuntimeOverrides`) are resolved here, at
 execution time: an explicit payload value beats the daemon's environment,
 which beats the defaults — so two queued jobs can run under different
-divergence policies or pool settings without anyone mutating ``os.environ``.
+divergence policies or worker counts without anyone mutating ``os.environ``.
 
 The engine's :attr:`fingerprint` digests its pre-trained weights; request
 fingerprints include it so the result registry can never serve a ranking
@@ -342,7 +342,6 @@ class Engine:
         arch_hyper: ArchHyper,
         task: Task,
         request_fingerprint: str,
-        runtime: RuntimeOverrides,
         epochs: int | None = None,
         seed: int = 0,
     ) -> dict:
@@ -358,9 +357,6 @@ class Engine:
             epochs=epochs if epochs is not None else self.scale.final_train_epochs,
             batch_size=self.scale.batch_size,
             seed=seed,
-            # None resolves $REPRO_BUFFER_POOL at use time; an explicit
-            # per-job value wins over the daemon's environment.
-            buffer_pool=runtime.buffer_pool,
         )
         result = train_forecaster(model, prepared.train, prepared.val, config)
         scores = evaluate_forecaster(

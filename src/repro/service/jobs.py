@@ -93,7 +93,6 @@ def _run_train(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
         arch_hyper,
         task,
         fingerprint,
-        request.runtime,
         epochs=_int_option(request.options, "epochs", None),
         seed=_int_option(request.options, "seed", 0),
     )

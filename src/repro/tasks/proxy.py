@@ -49,12 +49,6 @@ class ProxyConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-4
     seed: int = 0
-    # Score-inert performance knob: pooled proxy training produces bitwise
-    # identical scores, so this field is excluded from eval-cache
-    # fingerprints (see repro.runtime.fingerprint.proxy_fingerprint).
-    # Tri-state: None resolves $REPRO_BUFFER_POOL at use time; an explicit
-    # bool (e.g. a per-job service override) wins over the environment.
-    buffer_pool: bool | None = None
     # Fidelity axis (successive halving, docs/fidelity.md): train only this
     # many epochs of the full `epochs` budget.  None = full fidelity (the
     # historical behaviour).  Score-MATERIAL when partial: a k'-epoch score
@@ -64,8 +58,7 @@ class ProxyConfig:
     fidelity_epochs: int | None = None
     # Directory for warm-resume training snapshots.  Score-INERT: a warm
     # continuation is bitwise-identical to a fresh run of the same fidelity
-    # (enforced by test), so this is excluded from fingerprints like
-    # buffer_pool.
+    # (enforced by test), so this is excluded from fingerprints.
     warm_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -104,7 +97,6 @@ class ProxyConfig:
             weight_decay=self.weight_decay,
             patience=max(chosen, 1),
             seed=self.seed,
-            buffer_pool=self.buffer_pool,
         )
 
 
@@ -214,7 +206,6 @@ def full_train_score(
             weight_decay=config.weight_decay,
             patience=max(3, epochs // 4),
             seed=config.seed,
-            buffer_pool=config.buffer_pool,
         ),
     )
     windows = prepared.test if return_test else prepared.val

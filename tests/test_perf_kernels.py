@@ -1,24 +1,19 @@
-"""Tests for the optimized kernel paths: im2col convolutions, fused
-elementwise ops, and the buffer pool (see docs/performance.md).
+"""Tests for the optimized kernel paths: im2col convolutions and fused
+elementwise ops (see docs/performance.md).
 
-Three kinds of guarantees:
+Two kinds of guarantees:
 
-* every new fused / im2col / pooled op has a correct backward pass
+* every new fused / im2col op has a correct backward pass
   (central-difference gradient checks in float64),
 * the im2col kernels agree with the reference per-tap loop kernels to
   float tolerance, and the fused chains are *bitwise* identical to the
-  unfused chains they replace,
-* pooled training is bitwise-identical to pool-disabled training across
-  shapes and seeds (the property that lets ``ProxyConfig.buffer_pool``
-  stay outside the eval-cache fingerprint).
+  unfused chains they replace.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, absolute, broadcast_to, check_gradients, mean, relu
+from repro.autodiff import Tensor, absolute, broadcast_to, check_gradients, mean
 from repro.autodiff.fused import (
     REFERENCE_KERNELS_ENV,
     fused_kernels_enabled,
@@ -26,9 +21,6 @@ from repro.autodiff.fused import (
     mean_absolute_error,
     reference_kernels,
 )
-from repro.autodiff.pool import POOL_ENV, BufferPool, pooling_allowed
-from repro.core import TrainConfig, build_forecaster, train_forecaster
-from repro.data import CTSData
 from repro.nn.conv import (
     CausalConv2d,
     Conv1d,
@@ -38,8 +30,6 @@ from repro.nn.conv import (
     conv2d_1xk,
     im2col_conv,
 )
-from repro.space import HyperSpace, JointSearchSpace
-from repro.tasks import Task
 
 RNG = np.random.default_rng(23)
 
@@ -221,130 +211,3 @@ class TestLazyBroadcast:
 
     def test_broadcast_to_gradients(self):
         check_gradients(lambda x: broadcast_to(x, (5, 2, 3)), [_rand(2, 3)])
-
-
-class TestBufferPool:
-    def test_env_kill_switch(self, monkeypatch):
-        assert pooling_allowed()
-        monkeypatch.setenv(POOL_ENV, "0")
-        assert not pooling_allowed()
-
-    def test_cross_step_reuse(self):
-        pool = BufferPool()
-        with pool.step():
-            first = pool.take((8, 8), np.float64)
-        assert pool.stats()["misses"] == 1
-        with pool.step():
-            second = pool.take((8, 8), np.float64)
-        assert second is first
-        assert pool.stats()["hits"] == 1
-
-    def test_no_same_step_reuse(self):
-        """A buffer handed out this step is never recycled this step."""
-        pool = BufferPool()
-        with pool.step():
-            a = pool.take((4,), np.float64)
-            b = pool.take((4,), np.float64)
-        assert a is not b
-
-    def test_pooled_ops_bitwise_match_unpooled(self):
-        """Repeated pooled forward/backward (with buffer recycling across
-        generations) matches pool-off execution bitwise, including relu's
-        fill+copyto formulation on negative zeros."""
-        x_data = _rand(4, 6)
-        x_data[0, 0] = -0.0
-        y_data = _rand(4, 6)
-
-        def run(pooled):
-            results = []
-            pool = BufferPool() if pooled else None
-            for _ in range(3):  # multiple generations => real buffer reuse
-                ctx = pool.step() if pool else None
-                if ctx:
-                    ctx.__enter__()
-                try:
-                    x = Tensor(x_data.copy(), requires_grad=True)
-                    y = Tensor(y_data.copy(), requires_grad=True)
-                    out = mean(absolute(relu(x * y) + x.exp() / (y * y + 1.0)))
-                    out.backward()
-                    results.append((out.data.copy(), x.grad.copy(), y.grad.copy()))
-                finally:
-                    if ctx:
-                        ctx.__exit__(None, None, None)
-            return results
-
-        for pooled_result, plain_result in zip(run(True), run(False)):
-            for a, b in zip(pooled_result, plain_result):
-                assert np.array_equal(a, b)
-
-    def test_pool_scoped_to_step_context(self):
-        from repro.autodiff.pool import active_pool
-
-        pool = BufferPool()
-        assert active_pool() is None
-        with pool.step():
-            assert active_pool() is pool
-        assert active_pool() is None
-
-
-def _toy_task(t=64, n=3, seed=0):
-    rng = np.random.default_rng(seed)
-    steps = np.arange(t)
-    values = np.stack(
-        [
-            np.sin(2 * np.pi * steps / 12 + k) + 0.05 * rng.standard_normal(t)
-            for k in range(n)
-        ]
-    )
-    return Task(
-        CTSData(
-            "toy",
-            values[..., None].astype(np.float32),
-            np.ones((n, n), np.float32),
-            "test",
-        ),
-        p=6,
-        q=2,
-        max_train_windows=32,
-    )
-
-
-def _train_state(hidden_dim, seed, buffer_pool):
-    task = _toy_task(seed=seed)
-    space = JointSearchSpace(
-        hyper_space=HyperSpace(
-            num_blocks=(1,),
-            num_nodes=(3,),
-            hidden_dims=(hidden_dim,),
-            output_dims=(hidden_dim,),
-            output_modes=(0,),
-            dropout=(0,),
-        )
-    )
-    arch_hyper = space.sample(np.random.default_rng(seed))
-    model = build_forecaster(arch_hyper, task.data, task.horizon, seed=seed)
-    train_forecaster(
-        model,
-        task.prepared.train,
-        task.prepared.val,
-        TrainConfig(
-            epochs=2, batch_size=16, patience=2, seed=seed, buffer_pool=buffer_pool
-        ),
-    )
-    return model.state_dict()
-
-
-class TestPooledTrainingBitwise:
-    """The property that keeps buffer_pool out of eval-cache fingerprints."""
-
-    @settings(max_examples=4, deadline=None)
-    @given(
-        hidden_dim=st.sampled_from([4, 8]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_pooled_training_bitwise_identical(self, hidden_dim, seed):
-        pooled = _train_state(hidden_dim, seed, buffer_pool=True)
-        plain = _train_state(hidden_dim, seed, buffer_pool=False)
-        assert pooled.keys() == plain.keys()
-        for name in pooled:
-            assert np.array_equal(pooled[name], plain[name]), name

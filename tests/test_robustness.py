@@ -232,33 +232,6 @@ class TestMaskedLoss:
         loss = masked_mae_loss(prediction, target, mask=mask)
         assert loss.numpy() == pytest.approx(0.25)
 
-    def test_mask_and_sentinel_are_exclusive(self):
-        prediction = Tensor(np.zeros((1, 2), dtype=np.float32))
-        target = np.ones((1, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            masked_mae_loss(
-                prediction, target, mask=np.ones((1, 2), bool), null_value=0.0
-            )
-
-    def test_no_mask_falls_back_to_sentinel_with_warning(self):
-        prediction = Tensor(np.array([[1.0, 2.0]], dtype=np.float32))
-        target = np.array([[0.0, 4.0]], dtype=np.float32)
-        with pytest.warns(DeprecationWarning):
-            implicit = masked_mae_loss(prediction, target)
-        explicit = masked_mae_loss(prediction, target, null_value=0.0)
-        assert implicit.numpy() == pytest.approx(explicit.numpy())
-        # the zero target was dropped by the sentinel: only |2-4| counts
-        assert explicit.numpy() == pytest.approx(2.0)
-
-    def test_explicit_sentinel_does_not_warn(self):
-        import warnings
-
-        prediction = Tensor(np.ones((1, 2), dtype=np.float32))
-        target = np.ones((1, 2), dtype=np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            masked_mae_loss(prediction, target, null_value=0.0)
-
     def test_all_masked_target_yields_zero_loss(self):
         prediction = Tensor(np.ones((1, 3), dtype=np.float32))
         target = np.zeros((1, 3), dtype=np.float32)

@@ -16,8 +16,8 @@ tiny synthetic artifacts — and talks to it over actual HTTP.  Covered:
   evaluations,
 * malformed payloads as 4xx, never 500s or hangs,
 * concurrent clients and daemons with no double-claimed jobs,
-* per-job runtime overrides (divergence policy, buffer pooling) beating
-  the daemon's environment,
+* per-job runtime overrides (divergence policy) beating the daemon's
+  environment,
 * ``repro submit`` CLI against a live server.
 """
 
@@ -34,7 +34,6 @@ import pytest
 from repro.comparator.pretrain import PretrainHistory
 from repro.comparator.tahc import TAHC
 from repro.core.health import DivergenceError
-from repro.data import CTSData
 from repro.data.datasets import get_dataset
 from repro.embedding import MLPEmbedder
 from repro.experiments.config import SCALES
@@ -345,7 +344,7 @@ class TestDedup:
             "/jobs", {**base, "runtime": {"workers": 1, "max_retries": 2}}
         )
         _, second = service.request(
-            "/jobs", {**base, "runtime": {"workers": 4, "buffer_pool": False}}
+            "/jobs", {**base, "runtime": {"workers": 4, "eval_timeout": 30.0}}
         )
         assert second["deduped"]
         assert first["job"]["fingerprint"] == second["job"]["fingerprint"]
@@ -751,86 +750,17 @@ class TestRuntimeOverrides:
         finally:
             stack.close()
 
-    def test_per_job_buffer_pool_threaded_into_proxy_config(self, tmp_path):
-        counting = CountingEval(cheap_eval)
-        stack = Service(tmp_path, eval_fn=counting)
-        try:
-            _, submitted = stack.request(
-                "/jobs",
-                {
-                    "kind": "collect",
-                    "task": _task_spec(),
-                    "options": {"n_samples": 1},
-                    "runtime": {"buffer_pool": False},
-                },
-            )
-            stack.wait_for(submitted["job"]["id"])
-            assert counting.configs[-1].buffer_pool is False
-            _, submitted = stack.request(
-                "/jobs",
-                {
-                    "kind": "collect",
-                    "task": _task_spec(seed=2, name="toy-c"),
-                    "options": {"n_samples": 1},
-                },
-            )
-            stack.wait_for(submitted["job"]["id"])
-            # Unspecified stays tri-state None: resolved against the
-            # worker's environment at training time, not frozen here.
-            assert counting.configs[-1].buffer_pool is None
-        finally:
-            stack.close()
-
-
-class TestTrainConfigTriState:
-    """Regression: $REPRO_BUFFER_POOL must be a fallback resolved at use
-    time, with an explicit config value winning over the environment."""
-
-    def _ran_with_pool(self, monkeypatch, buffer_pool):
-        import repro.core.trainer as trainer_module
-        from repro.core import TrainConfig, build_forecaster, train_forecaster
-        from repro.tasks import Task
-
-        created = []
-        real_pool = trainer_module.BufferPool
-
-        class SpyPool(real_pool):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(trainer_module, "BufferPool", SpyPool)
-        rng = np.random.default_rng(0)
-        values = rng.normal(10, 2, size=(4, 80, 1)).astype(np.float32)
-        task = Task(
-            CTSData("pool-probe", values, np.ones((4, 4), dtype=np.float32), "test"),
-            p=6,
-            q=3,
-        )
-        space = JointSearchSpace(hyper_space=TINY_HYPER)
-        ah = space.sample(np.random.default_rng(0))
-        model = build_forecaster(ah, task.data, task.horizon, seed=0)
-        train_forecaster(
-            model,
-            task.prepared.train,
-            task.prepared.val,
-            TrainConfig(epochs=1, batch_size=16, patience=1, buffer_pool=buffer_pool),
-        )
-        return bool(created)
-
-    def test_explicit_true_beats_env_kill_switch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BUFFER_POOL", "0")
-        assert self._ran_with_pool(monkeypatch, buffer_pool=True)
-
-    def test_default_resolves_env_at_use_time(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BUFFER_POOL", "0")
-        assert not self._ran_with_pool(monkeypatch, buffer_pool=None)
-        monkeypatch.delenv("REPRO_BUFFER_POOL")
-        assert self._ran_with_pool(monkeypatch, buffer_pool=None)
-
-    def test_explicit_false_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BUFFER_POOL", raising=False)
-        assert not self._ran_with_pool(monkeypatch, buffer_pool=False)
+    def test_retired_runtime_key_is_accepted_and_inert(self):
+        # Old clients, and jobs queued in a registry before the buffer pool
+        # was removed, still send its wire key: the payload must parse, and
+        # must dedupe against the same request without it.
+        base = {"kind": "collect", "task": _task_spec(), "options": {"n_samples": 2}}
+        legacy = protocol.parse_submit({**base, "runtime": {"buffer_pool": False}})
+        current = protocol.parse_submit(base)
+        engine_fingerprint = "0" * 64
+        assert protocol.request_fingerprint(
+            legacy, engine_fingerprint
+        ) == protocol.request_fingerprint(current, engine_fingerprint)
 
 
 class TestCLISubmit:
