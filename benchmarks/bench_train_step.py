@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.autodiff import Tensor
-from repro.autodiff.fused import REFERENCE_KERNELS_ENV
 from repro.core.model import build_forecaster
 from repro.data import CTSData
 from repro.data.windows import iterate_batches
@@ -51,10 +50,13 @@ from repro.nn.loss import mae_loss
 from repro.obs import MetricsRegistry, metrics_scope
 from repro.obs.profile import profile
 from repro.optim import Adam, clip_grad_norm
+from repro.settings import ENV_VARS
 from repro.space import ArchHyper
 from repro.space.arch import Architecture, Edge
 from repro.space.hyperparams import HyperParameters
 from repro.tasks import Task
+
+REFERENCE_KERNELS_ENV = ENV_VARS["reference_kernels"]
 
 RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
 # --check fails when the optimized kernels' median speedup over the reference

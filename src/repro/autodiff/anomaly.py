@@ -16,42 +16,37 @@ module is the from-scratch engine's ``torch.autograd.detect_anomaly``:
   errors name the module chain (for example ``CTSForecaster/STBlock/Linear``).
 
 The checks are opt-in: when disabled (the default) the only cost is one
-thread-local flag read per op, which keeps overhead well under 5%.  The
-``$REPRO_ANOMALY`` environment variable seeds the default state so
-process-pool evaluation workers inherit the mode from the CLI.
+thread-local flag read per op, which keeps overhead well under 5%.
+``$REPRO_ANOMALY`` seeds the process default; proxy evaluations carry the
+calling thread's mode to whichever backend runs them (serial, timeout
+thread, or pool worker of any start method).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 import numpy as np
 
-ANOMALY_ENV = "REPRO_ANOMALY"
+from ..settings import Settings
 
 _state = threading.local()
-_env_default = os.environ.get(ANOMALY_ENV, "").strip().lower() in (
-    "1",
-    "true",
-    "on",
-    "yes",
-)
+_process_default = Settings.read("anomaly")
 
 
 def anomaly_enabled() -> bool:
     """Whether per-op non-finite checks are active on this thread."""
-    return getattr(_state, "enabled", _env_default)
+    return getattr(_state, "enabled", _process_default)
 
 
 def set_anomaly_default(enabled: bool) -> None:
     """Set the process-default mode (what threads without an explicit
     :func:`detect_anomaly` context observe).  Used by the CLI's
-    ``--anomaly-mode`` so worker processes and threads inherit the mode."""
-    global _env_default
-    _env_default = bool(enabled)
-    os.environ[ANOMALY_ENV] = "1" if enabled else "0"
+    ``--anomaly-mode``; proxy evaluations hand the mode on to their
+    backend."""
+    global _process_default
+    _process_default = bool(enabled)
 
 
 @contextlib.contextmanager

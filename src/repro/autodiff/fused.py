@@ -20,25 +20,18 @@ Two switches fall back to the unfused chains:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from ..settings import Settings
 from .anomaly import anomaly_enabled
 from .tensor import Tensor, _needs_grad, as_tensor, make_op, unbroadcast
-
-REFERENCE_KERNELS_ENV = "REPRO_REFERENCE_KERNELS"
 
 
 def reference_kernels() -> bool:
     """Whether ``$REPRO_REFERENCE_KERNELS`` forces the pre-optimization
-    kernel paths (per-tap conv loops, unfused elementwise chains)."""
-    return os.environ.get(REFERENCE_KERNELS_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
+    kernel paths (per-tap conv loops, unfused elementwise chains).  Read on
+    every call: the train-step benchmark flips it between rounds."""
+    return Settings.read("reference_kernels")
 
 
 def fused_kernels_enabled() -> bool:

@@ -21,31 +21,55 @@ Run ``python -m repro.cli <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
+from .settings import Settings
 from .utils.validation import ConfigError
 
 
-def _configure_observability(args: argparse.Namespace) -> str | None:
-    """Install the run's tracer/heartbeat/profiling from flags and env.
+def _settings(args: argparse.Namespace) -> Settings:
+    """Defaults, then ``$REPRO_*``, then this subcommand's flags.
 
-    ``--trace PATH`` wins over ``$REPRO_TRACE``; heartbeats are on unless
-    ``--quiet``; ``--profile`` seeds the process default (and, via the env,
-    pool workers).  Returns the active trace path, if any.
+    Called first thing by every subcommand that has such flags, so a
+    malformed variable or flag fails (exit 2) before any heavy work.
     """
-    from .obs import TRACE_ENV, configure_heartbeat, configure_tracing
+    flags = vars(args)
+    return Settings.from_env().override(
+        workers=flags.get("workers"),
+        divergence_policy=flags.get("divergence_policy"),
+        max_retries=flags.get("max_retries"),
+        eval_timeout=flags.get("eval_timeout"),
+        eval_cache=False if flags.get("no_eval_cache") else None,
+        service_db=flags.get("db"),
+        fidelity_schedule=flags.get("fidelity_schedule"),
+        fidelity_label_policy=flags.get("fidelity_label_policy"),
+        fidelity_warm_dir=flags.get("warm_dir"),
+        metrics_interval=flags.get("metrics_interval"),
+        profile=True if flags.get("profile") else None,
+        anomaly=True if flags.get("anomaly_mode") else None,
+        trace=flags.get("trace") or None,
+        service_url=flags.get("url"),
+    )
 
-    trace_path = getattr(args, "trace", None) or os.environ.get(TRACE_ENV) or None
-    configure_tracing(trace_path)
+
+def _configure_observability(
+    args: argparse.Namespace, settings: Settings
+) -> str | None:
+    """Install the run's tracer/heartbeat/profiling; returns the trace path.
+
+    Heartbeats are on unless ``--quiet``; ``--profile`` (or
+    ``$REPRO_PROFILE``) sets the process default, which proxy evaluations
+    carry to their backend.
+    """
+    from .obs import configure_heartbeat, configure_tracing, set_profiling_default
+
+    configure_tracing(settings.trace)
     configure_heartbeat(enabled=not getattr(args, "quiet", False))
-    if getattr(args, "profile", False):
-        from .obs import set_profiling_default
-
+    if settings.profile:
         set_profiling_default(True)
-    return trace_path
+    return settings.trace
 
 
 def _finish_observability(args: argparse.Namespace, trace_path: str | None) -> None:
@@ -149,30 +173,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from .autodiff import set_anomaly_default
     from .experiments import SCALES, pretrain_variant, target_task
-    from .runtime import (
-        configure_default_evaluator,
-        default_checkpoint_dir,
-        resolve_fidelity_schedule,
-    )
+    from .runtime import ProxyEvaluator, set_default_evaluator
     from .service import Engine
 
-    # Fail on a malformed --fidelity-schedule before any heavy work starts.
-    resolve_fidelity_schedule(args.fidelity_schedule)
-    if args.anomaly_mode:
-        # Also exported via $REPRO_ANOMALY so pool workers inherit the mode.
+    settings = _settings(args)
+    if settings.anomaly:
         set_anomaly_default(True)
-    trace_path = _configure_observability(args)
+    trace_path = _configure_observability(args, settings)
     scale = SCALES[args.scale]
-    evaluator = configure_default_evaluator(
-        workers=args.workers,
-        cache_enabled=not args.no_eval_cache,
-        max_retries=args.max_retries,
-        eval_timeout=args.eval_timeout,
-        divergence_policy=args.divergence_policy,
-    )
+    evaluator = ProxyEvaluator.from_settings(settings)
+    set_default_evaluator(evaluator)
     # Progress checkpoints are always written (a crash costs at most one unit
     # of work); --resume controls whether existing ones are picked up.
-    checkpoint_dir = default_checkpoint_dir()
+    checkpoint_dir = settings.checkpoint_dir
     if args.resume:
         print(f"resuming from checkpoints under {checkpoint_dir} (if any)")
     artifacts = pretrain_variant(
@@ -208,18 +221,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_autocts(args: argparse.Namespace) -> int:
     from .experiments import SCALES, target_task
-    from .runtime import configure_default_evaluator, resolve_fidelity_schedule
+    from .runtime import ProxyEvaluator, set_default_evaluator
     from .search import AutoCTSPlusConfig, AutoCTSPlusSearch, EvolutionConfig
     from .space import JointSearchSpace
     from .tasks import ProxyConfig
 
-    # Fail on a malformed --fidelity-schedule before any heavy work starts.
-    resolve_fidelity_schedule(args.fidelity_schedule)
-    trace_path = _configure_observability(args)
+    settings = _settings(args)
+    trace_path = _configure_observability(args, settings)
     scale = SCALES[args.scale]
-    evaluator = configure_default_evaluator(
-        workers=args.workers, cache_enabled=not args.no_eval_cache
-    )
+    evaluator = ProxyEvaluator.from_settings(settings)
+    set_default_evaluator(evaluator)
     setting = scale.setting(args.setting)
     task = target_task(scale, args.dataset, setting, seed=args.seed)
     space = JointSearchSpace(hyper_space=scale.hyper_space)
@@ -275,24 +286,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .experiments import SCALES, pretrain_variant
     from .obs import default_span_buffer
-    from .runtime import default_checkpoint_dir
     from .service import Daemon, Engine, MetricsSampler, ServiceAPI, ServiceDB
-    from .service.daemon import resolve_metrics_interval
 
-    # Validate before the (slow) pretrain so a bad knob fails fast.
-    metrics_interval = resolve_metrics_interval(args.metrics_interval)
-    trace_path = _configure_observability(args)
+    settings = _settings(args)
+    trace_path = _configure_observability(args, settings)
     scale = SCALES[args.scale]
     print(f"pre-training '{args.variant}' artifacts at scale '{scale.name}'...")
     artifacts = pretrain_variant(scale, args.variant, seed=args.seed)
     engine = Engine(
         artifacts,
         scale,
-        checkpoint_dir=default_checkpoint_dir(),
+        checkpoint_dir=settings.checkpoint_dir,
         artifact_dir=args.artifact_dir,
-        cache_enabled=not args.no_eval_cache,
+        cache_enabled=settings.eval_cache,
     )
-    db = ServiceDB(args.db)
+    db = ServiceDB(settings.service_db)
     buffer = default_span_buffer()
     daemons = [
         Daemon(db, engine, span_buffer=buffer).start(recover=(index == 0))
@@ -301,7 +309,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     api = ServiceAPI(
         db, engine, host=args.host, port=args.port, span_buffer=buffer
     ).start()
-    sampler = MetricsSampler(db, interval=metrics_interval, source=api.address)
+    sampler = MetricsSampler(
+        db, interval=settings.metrics_interval, source=api.address
+    )
     sampler.start()
     print(f"engine {engine.fingerprint[:16]} (registry: {db.path})")
     print(f"serving on {api.address} ({args.daemons} worker daemon(s))")
@@ -319,11 +329,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             daemon.stop()
         _finish_observability(args, trace_path)
     return 0
-
-
-def _service_url(args: argparse.Namespace) -> str:
-    url = args.url or os.environ.get("REPRO_SERVICE_URL") or "http://127.0.0.1:8737"
-    return url.rstrip("/")
 
 
 def _http_json(url: str, payload=None, tenant: str | None = None):
@@ -352,7 +357,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     import json
     import time
 
-    base = _service_url(args)
+    base = _settings(args).service_url.rstrip("/")
     if args.values_file:
         with open(args.values_file) as handle:
             task_spec = json.load(handle)
@@ -738,7 +743,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        # Bad numerics or a malformed --fidelity-schedule spec: render the
+        # Bad numerics, a malformed flag or $REPRO_* value: render the
         # typed message like an argparse error instead of a traceback.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

@@ -139,19 +139,15 @@ def collect_task_samples(
     sound).
 
     ``fidelity_schedule`` (a :class:`~repro.runtime.FidelitySchedule`, an
-    ``eta:rungs:min-epochs`` spec, or ``None`` → ``$REPRO_FIDELITY_SCHEDULE``)
+    ``eta:rungs:min-epochs`` spec, or ``None`` → :class:`~repro.settings.Settings`)
     runs the collection as a successive-halving ladder instead of a flat
     full-fidelity sweep; ``label_policy`` decides how sub-full-fidelity
     scores may label (``docs/fidelity.md``).  With no schedule anywhere this
     function is bitwise-identical to the historical pipeline.
     """
     from ..embedding.task_encoder import preliminary_task_embedding
-    from ..runtime import (
-        EvalProgress,
-        get_default_evaluator,
-        resolve_fidelity_schedule,
-        resolve_label_policy,
-    )
+    from ..runtime import EvalProgress, get_default_evaluator
+    from ..settings import Settings
 
     config = config if config is not None else PretrainConfig()
     if not tasks:
@@ -164,7 +160,10 @@ def collect_task_samples(
     evaluator = evaluator or get_default_evaluator()
     progress = EvalProgress(checkpoint) if checkpoint is not None else None
     jobs = [(ah, task) for task, pool in zip(tasks, pools) for ah in pool]
-    schedule = resolve_fidelity_schedule(fidelity_schedule)
+    settings = Settings.from_env().override(
+        fidelity_schedule=fidelity_schedule, fidelity_label_policy=label_policy
+    )
+    schedule = settings.fidelity_schedule
     with span("collect", tasks=len(tasks), candidates=len(jobs)):
         flat_fidelities: list[int] | None = None
         flat_mask: list[bool] | None = None
@@ -173,7 +172,7 @@ def collect_task_samples(
                 jobs, config.proxy, progress=progress
             )
         else:
-            policy = resolve_label_policy(label_policy)
+            policy = settings.fidelity_label_policy
             result = evaluator.evaluate_rungs(
                 jobs,
                 config.proxy,

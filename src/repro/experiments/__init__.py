@@ -2,7 +2,6 @@
 
 from .config import DIRTY, PAPER, SCALES, SMOKE, TINY, ExperimentScale, Setting
 from .harness import (
-    DEFAULT_CACHE_DIR,
     PretrainedArtifacts,
     VARIANTS,
     make_searcher,
@@ -31,7 +30,6 @@ __all__ = [
     "TINY",
     "ExperimentScale",
     "Setting",
-    "DEFAULT_CACHE_DIR",
     "PretrainedArtifacts",
     "VARIANTS",
     "make_searcher",

@@ -4,8 +4,9 @@ Responsibilities:
 
 * build source (pre-training) and target (unseen) tasks at a chosen scale,
 * pre-train T-AHC variants — the full framework and the three ablations of
-  Section 4.2.3 — with a pickle-based disk cache so the expensive pre-training
-  runs once per benchmark session,
+  Section 4.2.3 — with a disk cache (one :class:`~repro.runtime.Checkpoint`
+  file per artifact) so the expensive pre-training runs once per benchmark
+  session,
 * run AutoCTS++ zero-shot searches and baseline trainings under identical
   budgets.
 """
@@ -13,8 +14,6 @@ Responsibilities:
 from __future__ import annotations
 
 import logging
-import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -40,9 +39,11 @@ from ..embedding.task_encoder import (
 )
 from ..embedding.ts2vec import TS2Vec, TS2VecConfig
 from ..metrics import ForecastScores
+from ..runtime.checkpoint import Checkpoint
 from ..runtime.fingerprint import CACHE_KEY_VERSION
 from ..search.evolutionary import EvolutionConfig
 from ..search.zero_shot import ZeroShotConfig, ZeroShotResult, ZeroShotSearch
+from ..settings import Settings
 from ..space.sampling import JointSearchSpace
 from ..tasks.enrichment import EnrichmentConfig, enrich_tasks
 from ..tasks.proxy import ProxyConfig
@@ -50,24 +51,14 @@ from ..tasks.task import Task
 from .config import ExperimentScale, Setting
 
 if TYPE_CHECKING:
-    from ..runtime import Checkpoint, ProxyEvaluator
+    from ..runtime import ProxyEvaluator
 
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("full", "wo_ts2vec", "wo_set_transformer", "wo_shared")
 
-# Overridable so CI (and parallel local runs) can isolate their caches.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-DEFAULT_CACHE_DIR = Path(
-    os.environ.get(
-        CACHE_DIR_ENV, Path(__file__).resolve().parents[3] / "benchmarks" / ".cache"
-    )
-)
-
-# Embedded in every artifact pickle; bumping it invalidates old files cleanly
-# (they are discarded and recomputed) instead of crashing the loader.
-ARTIFACT_FORMAT_VERSION = 2
+# pretrain_variant's default cache directory: Settings.cache_dir, read per call.
+_SETTINGS_CACHE_DIR = Path("$REPRO_CACHE_DIR")
 
 
 # ---------------------------------------------------------------------------
@@ -185,68 +176,10 @@ def _pretrain_config(scale: ExperimentScale, variant: str, seed: int) -> Pretrai
     )
 
 
-def _load_artifact_cache(cache_path: Path) -> PretrainedArtifacts | None:
-    """Load one cached artifact file; ``None`` on any corruption or mismatch.
-
-    A corrupt, truncated, stale, or wrong-version file is logged, deleted,
-    and treated as a miss — pre-training then simply recomputes it.
-    """
-    try:
-        with open(cache_path, "rb") as handle:
-            payload = pickle.load(handle)
-    except FileNotFoundError:
-        return None
-    except (
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ImportError,
-        IndexError,
-        KeyError,
-        TypeError,
-        ValueError,
-        MemoryError,
-        OSError,
-    ) as exc:
-        logger.warning(
-            "discarding corrupt artifact cache %s (%s: %s)",
-            cache_path, type(exc).__name__, exc,
-        )
-        cache_path.unlink(missing_ok=True)
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format_version") != ARTIFACT_FORMAT_VERSION
-        or not isinstance(payload.get("artifacts"), PretrainedArtifacts)
-    ):
-        logger.warning("discarding stale-format artifact cache %s", cache_path)
-        cache_path.unlink(missing_ok=True)
-        return None
-    return payload["artifacts"]
-
-
-def _save_artifact_cache(cache_path: Path, artifacts: PretrainedArtifacts) -> None:
-    """Atomically persist one artifact file (temp + ``os.replace``)."""
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    temp = cache_path.with_name(f"{cache_path.name}.tmp{os.getpid()}")
-    try:
-        with open(temp, "wb") as handle:
-            pickle.dump(
-                {"format_version": ARTIFACT_FORMAT_VERSION, "artifacts": artifacts},
-                handle,
-            )
-        os.replace(temp, cache_path)
-    except OSError as exc:
-        logger.warning("failed to write artifact cache %s: %s", cache_path, exc)
-        temp.unlink(missing_ok=True)
-
-
 def _pretrain_checkpoints(
     checkpoint_dir: Path, scale: ExperimentScale, variant: str, seed: int
 ) -> "tuple[Checkpoint, Checkpoint]":
     """The (collect, pretrain) progress checkpoints of one pre-training run."""
-    from ..runtime import Checkpoint
-
     stem = f"{scale.name}-{variant}-seed{seed}"
     return (
         Checkpoint(Path(checkpoint_dir) / f"collect-{stem}.ckpt", kind="eval-progress"),
@@ -258,7 +191,7 @@ def pretrain_variant(
     scale: ExperimentScale,
     variant: str = "full",
     seed: int = 0,
-    cache_dir: Path | None = DEFAULT_CACHE_DIR,
+    cache_dir: Path | None = _SETTINGS_CACHE_DIR,
     evaluator: "ProxyEvaluator | None" = None,
     checkpoint_dir: Path | None = None,
     resume: bool = False,
@@ -267,6 +200,10 @@ def pretrain_variant(
     warm_dir: Path | str | None = None,
 ) -> PretrainedArtifacts:
     """Pre-train (or load from cache) a T-AHC variant at the given scale.
+
+    The artifact is cached under ``cache_dir`` (default: ``$REPRO_CACHE_DIR``
+    or ``benchmarks/.cache``, see :class:`~repro.settings.Settings`);
+    ``cache_dir=None`` always pre-trains.
 
     ``evaluator`` fans out the proxy-label measurements of the sample
     collection stage; defaults to the process-wide
@@ -283,12 +220,15 @@ def pretrain_variant(
     no schedule (and ``$REPRO_FIDELITY_SCHEDULE`` unset) the run — and its
     artifact cache key — is identical to the historical pipeline.
     """
-    from ..runtime import resolve_fidelity_schedule, resolve_label_policy
-
     if variant not in VARIANTS:
         raise KeyError(f"unknown variant {variant!r}; known: {VARIANTS}")
-    schedule = resolve_fidelity_schedule(fidelity_schedule)
-    cache_path = None
+    settings = Settings.from_env().override(
+        fidelity_schedule=fidelity_schedule, fidelity_label_policy=label_policy
+    )
+    schedule = settings.fidelity_schedule
+    if cache_dir is _SETTINGS_CACHE_DIR:
+        cache_dir = settings.cache_dir
+    artifact_cache = None
     if cache_dir is not None:
         # The key carries every knob that shapes the pre-trained artifact so
         # editing the scale invalidates stale caches, and the score-semantics
@@ -304,15 +244,13 @@ def pretrain_variant(
             # share cache files with flat runs (and vice versa); the key
             # suffix appears only when a schedule is active, keeping flat
             # cache paths byte-identical to before.
-            policy = resolve_label_policy(label_policy)
+            policy = settings.fidelity_label_policy
             fingerprint += f"-fid{schedule.spec().replace(':', '_')}-{policy}"
-        cache_path = (
-            Path(cache_dir)
-            / f"tahc-{scale.name}-{fingerprint}-{variant}-seed{seed}.pkl"
-        )
-        cached = _load_artifact_cache(cache_path)
+        name = f"tahc-{scale.name}-{fingerprint}-{variant}-seed{seed}.pkl"
+        artifact_cache = Checkpoint(Path(cache_dir) / name, kind="tahc-artifacts")
+        cached = artifact_cache.load()
         if cached is not None:
-            return cached
+            return cached["artifacts"]
 
     collect_ckpt = pretrain_ckpt = None
     if checkpoint_dir is not None:
@@ -363,8 +301,8 @@ def pretrain_variant(
         sample_sets=sample_sets,
         history=history,
     )
-    if cache_path is not None:
-        _save_artifact_cache(cache_path, artifacts)
+    if artifact_cache is not None:
+        artifact_cache.save({"artifacts": artifacts})
     # The run is complete (and durably cached above); its progress
     # checkpoints have served their purpose.
     if collect_ckpt is not None:

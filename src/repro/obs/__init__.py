@@ -46,7 +46,6 @@ from .metrics import (
     render_metrics,
 )
 from .profile import (
-    PROFILE_ENV,
     profile,
     profiling_enabled,
     record_forward,
@@ -68,7 +67,6 @@ from .report import (
 )
 from .trace import (
     NULL_SPAN,
-    TRACE_ENV,
     TRACE_SCHEMA_VERSION,
     SpanBuffer,
     SpanHandle,
@@ -93,11 +91,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "PROFILE_ENV",
     "SpanBuffer",
     "SpanHandle",
     "StageStats",
-    "TRACE_ENV",
     "TRACE_SCHEMA_VERSION",
     "Trace",
     "Tracer",

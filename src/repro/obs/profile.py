@@ -20,40 +20,32 @@ Profiling observes timing and counts but never feeds them back into
 computation, so enabling it cannot change any score; the only cost is
 overhead (one clock read and two counter bumps per module call — expect
 roughly 5–15% on module-dense models, see ``docs/observability.md``).
-``$REPRO_PROFILE`` seeds the process default so pool workers inherit the
-mode from the CLI, mirroring ``$REPRO_ANOMALY``.
+``$REPRO_PROFILE`` seeds the process default, mirroring ``$REPRO_ANOMALY``;
+proxy evaluations carry the calling thread's mode to their backend.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
+from ..settings import Settings
 from .metrics import get_registry
 
-PROFILE_ENV = "REPRO_PROFILE"
-
 _state = threading.local()
-_env_default = os.environ.get(PROFILE_ENV, "").strip().lower() in (
-    "1",
-    "true",
-    "on",
-    "yes",
-)
+_process_default = Settings.read("profile")
 
 
 def profiling_enabled() -> bool:
     """Whether profiling hooks are active on this thread."""
-    return getattr(_state, "enabled", _env_default)
+    return getattr(_state, "enabled", _process_default)
 
 
 def set_profiling_default(enabled: bool) -> None:
-    """Set the process-default mode (inherited by threads and, via the
-    environment, by process-pool evaluation workers)."""
-    global _env_default
-    _env_default = bool(enabled)
-    os.environ[PROFILE_ENV] = "1" if enabled else "0"
+    """Set the process-default mode (what threads without an explicit
+    :func:`profile` context observe)."""
+    global _process_default
+    _process_default = bool(enabled)
 
 
 @contextlib.contextmanager

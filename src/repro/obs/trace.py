@@ -45,7 +45,6 @@ import time
 from typing import Callable, IO
 
 TRACE_SCHEMA_VERSION = 1
-TRACE_ENV = "REPRO_TRACE"
 
 _TRACER_IDS = itertools.count()
 

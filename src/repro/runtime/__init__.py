@@ -5,7 +5,8 @@ comparator pre-training and per-task search.  This package centralizes every
 ``measure_arch_hyper`` call behind a :class:`ProxyEvaluator` with
 
 * pluggable **serial** and **process-pool** backends (bitwise-identical
-  scores; worker count from ``--workers`` / ``$REPRO_WORKERS``),
+  scores; worker count from ``--workers`` / ``$REPRO_WORKERS``, resolved by
+  :class:`~repro.settings.Settings` like every other knob),
 * a **content-addressed on-disk score cache** keyed by a stable fingerprint
   of (arch-hyper, task, proxy config), with atomic writes and
   corruption-safe versioned loads,
@@ -25,48 +26,24 @@ See ``docs/runtime.md`` for the full picture.
 
 from __future__ import annotations
 
-import os
-
-from .cache import CACHE_DIR_ENV, CACHE_FORMAT_VERSION, EvalCache, default_cache_dir
+from ..settings import Settings
+from .cache import CACHE_FORMAT_VERSION, EvalCache
 from .checkpoint import (
-    CHECKPOINT_DIR_ENV,
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
     EvalProgress,
     ProgressVersionError,
-    default_checkpoint_dir,
 )
 from .fidelity import (
-    FIDELITY_LABEL_POLICY_ENV,
-    FIDELITY_SCHEDULE_ENV,
-    FIDELITY_WARM_DIR_ENV,
     FidelityResult,
     FidelitySchedule,
     FidelityScheduler,
     LABEL_POLICIES,
     RungReport,
     parse_fidelity_schedule,
-    resolve_fidelity_schedule,
-    resolve_label_policy,
-    resolve_warm_dir,
 )
-from .evaluator import (
-    DIVERGENCE_POLICIES,
-    DIVERGENCE_POLICY_ENV,
-    EvalStats,
-    ProxyEvaluator,
-    WORKERS_ENV,
-    resolve_divergence_policy,
-    resolve_workers,
-)
-from .faults import (
-    EVAL_TIMEOUT_ENV,
-    EvalFailedError,
-    EvalTimeoutError,
-    MAX_RETRIES_ENV,
-    RetryPolicy,
-    resolve_retry_policy,
-)
+from .evaluator import DIVERGENCE_POLICIES, EvalStats, ProxyEvaluator
+from .faults import EvalFailedError, EvalTimeoutError, RetryPolicy
 from .fingerprint import (
     CACHE_KEY_VERSION,
     proxy_fingerprint,
@@ -75,23 +52,14 @@ from .fingerprint import (
 )
 from .warm import WarmStore
 
-EVAL_CACHE_ENV = "REPRO_EVAL_CACHE"
-
 _default_evaluator: ProxyEvaluator | None = None
-
-
-def _cache_enabled_by_env() -> bool:
-    return os.environ.get(EVAL_CACHE_ENV, "1").strip().lower() not in ("0", "off", "no", "false")
 
 
 def get_default_evaluator() -> ProxyEvaluator:
     """The process-wide evaluator used when call sites are not handed one."""
     global _default_evaluator
     if _default_evaluator is None:
-        cache = EvalCache() if _cache_enabled_by_env() else None
-        _default_evaluator = ProxyEvaluator(
-            workers=None, cache=cache, retry_policy=resolve_retry_policy()
-        )
+        _default_evaluator = ProxyEvaluator.from_settings(Settings.from_env())
     return _default_evaluator
 
 
@@ -103,76 +71,54 @@ def set_default_evaluator(evaluator: ProxyEvaluator | None) -> None:
 
 def configure_default_evaluator(
     workers: int | None = None,
-    cache_enabled: bool = True,
+    cache_enabled: bool | None = None,
     cache_dir=None,
     max_retries: int | None = None,
     eval_timeout: float | None = None,
-    retry_policy: RetryPolicy | None = None,
     divergence_policy: str | None = None,
 ) -> ProxyEvaluator:
     """Build, install, and return a default evaluator from CLI-style knobs.
 
-    ``retry_policy`` wins when given; otherwise ``max_retries`` /
-    ``eval_timeout`` (with ``$REPRO_MAX_RETRIES`` / ``$REPRO_EVAL_TIMEOUT``
-    fallbacks) are resolved into one, or ``None`` for fail-fast.
-    ``divergence_policy`` is ``"sentinel"`` / ``"raise"`` (``None`` reads
-    ``$REPRO_DIVERGENCE_POLICY``, defaulting to ``sentinel``).
+    Each knob left ``None`` falls back to :class:`~repro.settings.Settings`
+    (its ``$REPRO_*`` variable, then its default).
     """
-    cache = EvalCache(cache_dir) if cache_enabled else None
-    if retry_policy is None:
-        retry_policy = resolve_retry_policy(max_retries, eval_timeout)
-    evaluator = ProxyEvaluator(
+    settings = Settings.from_env().override(
         workers=workers,
-        cache=cache,
-        retry_policy=retry_policy,
+        eval_cache=cache_enabled,
+        eval_cache_dir=cache_dir,
+        max_retries=max_retries,
+        eval_timeout=eval_timeout,
         divergence_policy=divergence_policy,
     )
+    evaluator = ProxyEvaluator.from_settings(settings)
     set_default_evaluator(evaluator)
     return evaluator
 
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
-    "CHECKPOINT_DIR_ENV",
     "CHECKPOINT_FORMAT_VERSION",
     "Checkpoint",
     "DIVERGENCE_POLICIES",
-    "DIVERGENCE_POLICY_ENV",
-    "EVAL_CACHE_ENV",
-    "EVAL_TIMEOUT_ENV",
     "EvalCache",
     "EvalFailedError",
     "EvalProgress",
     "EvalStats",
     "EvalTimeoutError",
-    "FIDELITY_LABEL_POLICY_ENV",
-    "FIDELITY_SCHEDULE_ENV",
-    "FIDELITY_WARM_DIR_ENV",
     "FidelityResult",
     "FidelitySchedule",
     "FidelityScheduler",
     "LABEL_POLICIES",
-    "MAX_RETRIES_ENV",
     "ProgressVersionError",
     "ProxyEvaluator",
     "RetryPolicy",
     "RungReport",
-    "WORKERS_ENV",
     "WarmStore",
     "configure_default_evaluator",
-    "default_cache_dir",
-    "default_checkpoint_dir",
     "get_default_evaluator",
     "parse_fidelity_schedule",
     "proxy_fingerprint",
-    "resolve_divergence_policy",
-    "resolve_fidelity_schedule",
-    "resolve_label_policy",
-    "resolve_retry_policy",
-    "resolve_warm_dir",
-    "resolve_workers",
     "set_default_evaluator",
     "task_fingerprint_material",
     "warm_lineage_fingerprint",

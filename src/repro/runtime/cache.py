@@ -16,33 +16,26 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from pathlib import Path
+
+from .checkpoint import atomic_write
 
 logger = logging.getLogger(__name__)
 
 # Bump when the entry schema changes; old entries are then discarded cleanly.
 CACHE_FORMAT_VERSION = 1
 
-CACHE_DIR_ENV = "REPRO_EVAL_CACHE_DIR"
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-
-def default_cache_dir() -> Path:
-    """Cache location: ``$REPRO_EVAL_CACHE_DIR`` or ``benchmarks/.cache/proxy``."""
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return _REPO_ROOT / "benchmarks" / ".cache" / "proxy"
-
 
 class EvalCache:
-    """Directory-backed score cache keyed by evaluation fingerprint."""
+    """Directory-backed score cache keyed by evaluation fingerprint.
 
-    def __init__(self, directory: Path | str | None = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
+    The process-wide evaluator's directory is
+    :attr:`Settings.eval_cache_dir <repro.settings.Settings>`.
+    """
+
+    def __init__(self, directory: Path | str) -> None:
+        self.directory = Path(directory)
 
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
@@ -79,14 +72,7 @@ class EvalCache:
             "wall_seconds": float(wall_seconds),
             "created": time.time(),
         }
-        temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temp.write_text(json.dumps(payload))
-            os.replace(temp, path)
-        except OSError as exc:
-            logger.warning("eval cache: failed to write %s: %s", path, exc)
-            temp.unlink(missing_ok=True)
+        atomic_write(path, json.dumps(payload).encode())
 
     # ------------------------------------------------------------------
     # Maintenance

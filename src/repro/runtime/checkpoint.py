@@ -7,8 +7,8 @@ all persisted so a SIGINT or crash costs at most one unit of work.
 
 :class:`Checkpoint` is the storage primitive shared by every loop:
 
-* **atomic** — writes go to a temp file then ``os.replace``, so a crash can
-  never leave a half-written checkpoint;
+* **atomic** — writes go through :func:`atomic_write` (a temp file then
+  ``os.replace``), so a crash can never leave a half-written checkpoint;
 * **versioned** — every file embeds :data:`CHECKPOINT_FORMAT_VERSION`, a
   ``kind`` tag, and caller-supplied ``meta`` (seed, config knobs); any
   mismatch discards the file instead of resuming into a different run;
@@ -49,17 +49,22 @@ class ProgressVersionError(RuntimeError):
 # discarded cleanly (and their runs restart) instead of crashing the loader.
 CHECKPOINT_FORMAT_VERSION = 1
 
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
-_REPO_ROOT = Path(__file__).resolve().parents[3]
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file and ``os.replace``.
 
-
-def default_checkpoint_dir() -> Path:
-    """``$REPRO_CHECKPOINT_DIR`` or ``benchmarks/.checkpoints``."""
-    env = os.environ.get(CHECKPOINT_DIR_ENV)
-    if env:
-        return Path(env)
-    return _REPO_ROOT / "benchmarks" / ".checkpoints"
+    The one durable-write path of the runtime: a crash leaves either the old
+    file or the new one, never half of one.  Failures are logged, never
+    raised — every caller treats its file as a cache it can recompute.
+    """
+    temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except OSError as exc:
+        logger.warning("failed to write %s: %s", path, exc)
+        temp.unlink(missing_ok=True)
 
 
 class Checkpoint:
@@ -125,15 +130,7 @@ class Checkpoint:
             "meta": self.meta,
             "state": state,
         }
-        temp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(temp, "wb") as handle:
-                pickle.dump(payload, handle)
-            os.replace(temp, self.path)
-        except OSError as exc:
-            logger.warning("checkpoint: failed to write %s: %s", self.path, exc)
-            temp.unlink(missing_ok=True)
+        atomic_write(self.path, pickle.dumps(payload))
 
     def clear(self) -> None:
         """Remove the checkpoint file (fresh-run semantics)."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,10 +45,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..autodiff.anomaly import anomaly_enabled, detect_anomaly
 from ..core.health import DivergenceError
 from ..obs.heartbeat import heartbeat, latency_summary
 from ..obs.metrics import MetricsRegistry, get_registry, metrics_scope
+from ..obs.profile import profile, profiling_enabled
 from ..obs.trace import Tracer, get_tracer, span, tracer_scope, tracing_enabled
+from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import SENTINEL_SCORE, ProxyConfig, measure_arch_hyper
 from ..tasks.task import Task
@@ -60,37 +62,7 @@ from .fingerprint import proxy_fingerprint
 
 logger = logging.getLogger(__name__)
 
-WORKERS_ENV = "REPRO_WORKERS"
-DIVERGENCE_POLICY_ENV = "REPRO_DIVERGENCE_POLICY"
 DIVERGENCE_POLICIES = ("sentinel", "raise")
-
-
-def resolve_divergence_policy(policy: str | None = None) -> str:
-    """Divergence policy: explicit argument, else env var, else ``sentinel``.
-
-    ``sentinel`` maps a diverged candidate to the deterministic worst-case
-    :data:`~repro.tasks.proxy.SENTINEL_SCORE`; ``raise`` propagates the
-    :class:`~repro.core.health.DivergenceError`.  Either way divergence is
-    *retry-exempt*: re-running a deterministic divergence re-diverges, so
-    retrying would only burn the fault budget.
-    """
-    if policy is None:
-        env = os.environ.get(DIVERGENCE_POLICY_ENV, "").strip().lower()
-        policy = env or "sentinel"
-    if policy not in DIVERGENCE_POLICIES:
-        raise ValueError(
-            f"unknown divergence policy {policy!r}; expected one of "
-            f"{DIVERGENCE_POLICIES}"
-        )
-    return policy
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else ``$REPRO_WORKERS``, else 1."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else 1
-    return max(1, int(workers))
 
 
 class EvalStats:
@@ -236,18 +208,28 @@ def _timed_eval(payload: tuple) -> tuple[float, float, bool, float, list, dict]:
     time (monotonic clocks are not comparable across processes, wall clocks
     on one machine are).
 
+    The caller's anomaly and profiling modes ride in the payload too, read
+    in the calling thread, so a timeout thread or a pool worker of any start
+    method runs under the same modes as the serial backend.
+
     Divergence handling is also here so both backends behave identically:
     under the ``sentinel`` policy a :class:`DivergenceError`
     deterministically becomes :data:`SENTINEL_SCORE` (no exception crosses
     the process boundary, no retry is triggered); under ``raise`` it
     propagates to the caller.
     """
-    eval_fn, arch_hyper, task, config, divergence_policy, trace = payload
+    (eval_fn, arch_hyper, task, config, divergence_policy, trace, anomaly,
+     profiling) = payload
     started_wall = time.time()
     spans: list[dict] = []
     collector = Tracer(spans.append) if trace else None
     scope = tracer_scope(collector) if trace else contextlib.nullcontext()
-    with scope, metrics_scope() as local_metrics:
+    with (
+        detect_anomaly(anomaly),
+        profile(profiling),
+        scope,
+        metrics_scope() as local_metrics,
+    ):
         start = time.perf_counter()
         score, diverged = _guarded_eval(
             eval_fn, arch_hyper, task, config, divergence_policy, collector
@@ -294,8 +276,9 @@ class ProxyEvaluator:
     """Fans out ``(arch_hyper, task)`` proxy evaluations, with caching.
 
     Args:
-        workers: parallel worker processes; ``None`` reads ``$REPRO_WORKERS``
-            (default 1 = serial, in-process).
+        workers: parallel worker processes; ``None`` takes
+            :attr:`Settings.workers <repro.settings.Settings>` (default 1 =
+            serial, in-process).
         cache: an :class:`EvalCache`, or ``None`` to disable score caching.
         eval_fn: the evaluation function ``(ah, task, config) -> float``;
             defaults to :func:`~repro.tasks.proxy.measure_arch_hyper`.  Must
@@ -307,8 +290,8 @@ class ProxyEvaluator:
             deterministically scores :data:`~repro.tasks.proxy.SENTINEL_SCORE`
             — cacheable, retry-exempt, bitwise-identical on every backend) or
             ``"raise"`` (a :class:`~repro.core.health.DivergenceError`
-            propagates, still without burning retries); ``None`` reads
-            ``$REPRO_DIVERGENCE_POLICY``.
+            propagates, still without burning retries); ``None`` takes it
+            from :class:`~repro.settings.Settings`.
     """
 
     def __init__(
@@ -319,13 +302,29 @@ class ProxyEvaluator:
         retry_policy: RetryPolicy | None = None,
         divergence_policy: str | None = None,
     ) -> None:
-        self.workers = resolve_workers(workers)
+        settings = Settings.from_env().override(
+            workers=workers, divergence_policy=divergence_policy
+        )
+        self.workers = settings.workers
         self.cache = cache
         self.eval_fn = eval_fn or measure_arch_hyper
         self.retry_policy = retry_policy
-        self.divergence_policy = resolve_divergence_policy(divergence_policy)
+        self.divergence_policy = settings.divergence_policy
         self.stats = EvalStats()
         self._sleep = time.sleep  # injectable for fast tests
+
+    @classmethod
+    def from_settings(
+        cls, settings: Settings, eval_fn: Callable | None = None
+    ) -> "ProxyEvaluator":
+        """An evaluator with every knob (cache and retries too) from ``settings``."""
+        return cls(
+            workers=settings.workers,
+            cache=EvalCache(settings.eval_cache_dir) if settings.eval_cache else None,
+            eval_fn=eval_fn,
+            retry_policy=settings.retry_policy(),
+            divergence_policy=settings.divergence_policy,
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -457,21 +456,20 @@ class ProxyEvaluator:
         """Score pairs through a successive-halving fidelity ladder.
 
         ``schedule`` is a :class:`~repro.runtime.fidelity.FidelitySchedule`,
-        an ``eta:rungs:min-epochs`` spec string, or ``None`` to read
-        ``$REPRO_FIDELITY_SCHEDULE``.  With no schedule anywhere this is
+        an ``eta:rungs:min-epochs`` spec string, or ``None`` to take
+        :attr:`Settings.fidelity_schedule <repro.settings.Settings>` (and
+        likewise ``warm_dir``).  With no schedule anywhere this is
         exactly :meth:`evaluate_pairs` (every candidate at full fidelity) —
         the fidelity machinery is inert until a schedule is requested.
         Returns a :class:`~repro.runtime.fidelity.FidelityResult`.
         """
-        from .fidelity import (
-            FidelityResult,
-            FidelityScheduler,
-            resolve_fidelity_schedule,
-            resolve_warm_dir,
-        )
+        from .fidelity import FidelityResult, FidelityScheduler
 
         config = config if config is not None else ProxyConfig()
-        schedule = resolve_fidelity_schedule(schedule)
+        settings = Settings.from_env().override(
+            fidelity_schedule=schedule, fidelity_warm_dir=warm_dir
+        )
+        schedule = settings.fidelity_schedule
         if schedule is None:
             scores = self.evaluate_pairs(pairs, config, progress)
             return FidelityResult(
@@ -479,7 +477,7 @@ class ProxyEvaluator:
                 fidelities=[config.epochs] * len(scores),
                 full_epochs=config.epochs,
             )
-        scheduler = FidelityScheduler(schedule, warm_dir=resolve_warm_dir(warm_dir))
+        scheduler = FidelityScheduler(schedule, warm_dir=settings.fidelity_warm_dir)
         return scheduler.evaluate_pairs(self, pairs, config, progress=progress)
 
     # ------------------------------------------------------------------
@@ -494,6 +492,8 @@ class ProxyEvaluator:
             config,
             self.divergence_policy,
             tracing_enabled(),
+            anomaly_enabled(),
+            profiling_enabled(),
         )
 
     def _run_backend(

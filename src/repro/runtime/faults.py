@@ -22,11 +22,7 @@ but never a returned score.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-EVAL_TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
 
 
 class EvalTimeoutError(TimeoutError):
@@ -99,24 +95,3 @@ def _jitter_fraction(fingerprint: str | None, retry_index: int) -> float:
     material = f"{fingerprint or 'no-fingerprint'}:{retry_index}".encode()
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
-
-
-def resolve_retry_policy(
-    max_retries: int | None = None,
-    timeout: float | None = None,
-) -> RetryPolicy | None:
-    """Build a policy from explicit knobs with env-var fallbacks.
-
-    ``$REPRO_MAX_RETRIES`` / ``$REPRO_EVAL_TIMEOUT`` fill in whichever knob
-    is not given explicitly; if neither source sets anything, returns
-    ``None`` (fail-fast, no timeout — the historical behaviour).
-    """
-    if max_retries is None:
-        env = os.environ.get(MAX_RETRIES_ENV, "").strip()
-        max_retries = int(env) if env else None
-    if timeout is None:
-        env = os.environ.get(EVAL_TIMEOUT_ENV, "").strip()
-        timeout = float(env) if env else None
-    if max_retries is None and timeout is None:
-        return None
-    return RetryPolicy(max_retries=max(0, max_retries or 0), timeout=timeout)

@@ -26,7 +26,6 @@ Schedule grammar (CLI/env): ``eta:rungs:min-epochs``, e.g. ``3:3:1`` — see
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -37,10 +36,6 @@ from ..space.archhyper import ArchHyper
 from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
 from ..utils.validation import ConfigError, require, require_int_at_least
-
-FIDELITY_SCHEDULE_ENV = "REPRO_FIDELITY_SCHEDULE"
-FIDELITY_LABEL_POLICY_ENV = "REPRO_FIDELITY_LABEL_POLICY"
-FIDELITY_WARM_DIR_ENV = "REPRO_FIDELITY_WARM_DIR"
 
 # How sub-full-fidelity scores may be used as comparator labels:
 #   "survivors" (default) — only full-fidelity survivors label, exactly as a
@@ -114,40 +109,6 @@ def parse_fidelity_schedule(spec: str) -> FidelitySchedule:
             f"fidelity schedule fields must be integers, got {spec!r}"
         ) from None
     return FidelitySchedule(eta=eta, rungs=rungs, min_epochs=min_epochs)
-
-
-def resolve_fidelity_schedule(
-    schedule: "FidelitySchedule | str | None" = None,
-) -> FidelitySchedule | None:
-    """Explicit schedule (object or spec string), else ``$REPRO_FIDELITY_SCHEDULE``,
-    else ``None`` (single-rung full fidelity — the inert default)."""
-    if schedule is not None:
-        if isinstance(schedule, FidelitySchedule):
-            return schedule
-        return parse_fidelity_schedule(schedule)
-    env = os.environ.get(FIDELITY_SCHEDULE_ENV, "").strip()
-    return parse_fidelity_schedule(env) if env else None
-
-
-def resolve_label_policy(policy: str | None = None) -> str:
-    """Explicit policy, else ``$REPRO_FIDELITY_LABEL_POLICY``, else ``survivors``."""
-    if policy is None:
-        env = os.environ.get(FIDELITY_LABEL_POLICY_ENV, "").strip().lower()
-        policy = env or "survivors"
-    if policy not in LABEL_POLICIES:
-        raise ConfigError(
-            f"unknown fidelity label policy {policy!r}; expected one of "
-            f"{LABEL_POLICIES}"
-        )
-    return policy
-
-
-def resolve_warm_dir(warm_dir: str | None = None) -> str | None:
-    """Explicit warm directory, else ``$REPRO_FIDELITY_WARM_DIR``, else ``None``."""
-    if warm_dir is not None:
-        return str(warm_dir)
-    env = os.environ.get(FIDELITY_WARM_DIR_ENV, "").strip()
-    return env or None
 
 
 @dataclass(frozen=True)

@@ -121,19 +121,19 @@ class AutoCTSPlusSearch:
         eligible as comparator training labels (culled candidates keep their
         last partial score, tagged via ``_label_eligible``).
         """
-        from ..runtime import (
-            EvalProgress,
-            get_default_evaluator,
-            resolve_fidelity_schedule,
-            resolve_label_policy,
-        )
+        from ..runtime import EvalProgress, get_default_evaluator
+        from ..settings import Settings
 
         rng = derive_rng(self.config.seed, "autocts+-collect")
         candidates = self.space.sample_batch(self.config.n_measured_samples, rng)
         evaluator = self.evaluator or get_default_evaluator()
         checkpoint = self._checkpoint("collect", "eval-progress")
         progress = EvalProgress(checkpoint) if checkpoint is not None else None
-        schedule = resolve_fidelity_schedule(self.config.fidelity_schedule)
+        settings = Settings.from_env().override(
+            fidelity_schedule=self.config.fidelity_schedule,
+            fidelity_label_policy=self.config.fidelity_label_policy,
+        )
+        schedule = settings.fidelity_schedule
         with span("collect", task=task.name, candidates=len(candidates)):
             if schedule is None:
                 scores = evaluator.evaluate_pairs(
@@ -151,10 +151,9 @@ class AutoCTSPlusSearch:
                     warm_dir=self.config.warm_dir,
                 )
                 scores = result.scores
-                policy = resolve_label_policy(self.config.fidelity_label_policy)
                 self._label_eligible = (
                     np.asarray(result.full_fidelity_mask(), dtype=bool)
-                    if policy == "survivors"
+                    if settings.fidelity_label_policy == "survivors"
                     else None
                 )
         if not has_comparable_pair(np.asarray(scores), self._label_eligible):

@@ -11,19 +11,13 @@ by the daemon and the CLI.  See ``docs/service.md``.
 """
 
 from .api import ServiceAPI
-from .daemon import (
-    METRICS_INTERVAL_ENV,
-    Daemon,
-    MetricsSampler,
-    resolve_metrics_interval,
-)
+from .daemon import Daemon, MetricsSampler
 from .db import (
     IllegalTransitionError,
     RegistryCorruptError,
     RegistryError,
     ServiceDB,
     UnknownJobError,
-    default_db_path,
 )
 from .engine import Engine, RankOutcome, artifacts_fingerprint
 from .jobs import JobResult, execute_job
@@ -47,7 +41,6 @@ __all__ = [
     "JOB_KINDS",
     "JobRequest",
     "JobResult",
-    "METRICS_INTERVAL_ENV",
     "MetricsSampler",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -60,10 +53,8 @@ __all__ = [
     "UnknownJobError",
     "artifacts_fingerprint",
     "build_task",
-    "default_db_path",
     "execute_job",
     "parse_runtime",
-    "resolve_metrics_interval",
     "parse_submit",
     "request_fingerprint",
     "task_fingerprint",

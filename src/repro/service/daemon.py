@@ -38,7 +38,6 @@ process) or as the only occupant of a process (``repro serve --no-api``).
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 import uuid
@@ -52,39 +51,13 @@ from ..obs import (
     get_tracer,
     tracer_scope,
 )
-from ..utils.validation import ConfigError, require, require_finite
+from ..settings import Settings
 from .db import IllegalTransitionError, ServiceDB, UnknownJobError
 from .engine import Engine
 from .jobs import execute_job
 from .protocol import JobRequest, RuntimeOverrides, parse_runtime
 
 logger = logging.getLogger(__name__)
-
-METRICS_INTERVAL_ENV = "REPRO_METRICS_INTERVAL"
-DEFAULT_METRICS_INTERVAL = 30.0
-
-
-def resolve_metrics_interval(value=None) -> float:
-    """Validate the metrics-sampler interval; ``0`` disables the sampler.
-
-    Precedence: explicit ``value`` (CLI flag) over ``$REPRO_METRICS_INTERVAL``
-    over the 30s default.  Anything that is not a finite number ``>= 0``
-    raises a typed :class:`ConfigError` (the CLI renders it as exit 2).
-    """
-    if value is None:
-        env = os.environ.get(METRICS_INTERVAL_ENV)
-        if env is None or env == "":
-            return DEFAULT_METRICS_INTERVAL
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(
-                f"${METRICS_INTERVAL_ENV} must be a number of seconds, got {env!r}"
-            ) from None
-    require_finite(value, "metrics interval")
-    require(value >= 0, f"metrics interval must be >= 0, got {value}")
-    return float(value)
-
 
 def _request_from_row(job: dict) -> JobRequest:
     """Rebuild the validated request from a stored job row."""
@@ -322,6 +295,8 @@ class MetricsSampler:
     to ``max_rows`` (downsampling the oldest half, so long-range history
     thins out instead of vanishing).  Sampling failures are logged and the
     loop keeps going — history is observability, never liveness.
+    ``interval=None`` takes :attr:`Settings.metrics_interval
+    <repro.settings.Settings>` (``$REPRO_METRICS_INTERVAL``, default 30 s).
     """
 
     def __init__(
@@ -336,7 +311,9 @@ class MetricsSampler:
 
         self.db = db
         self.registry = registry if registry is not None else global_registry()
-        self.interval = resolve_metrics_interval(interval)
+        self.interval = Settings.from_env().override(
+            metrics_interval=interval
+        ).metrics_interval
         self.source = source
         self.max_rows = max_rows
         self.samples = 0

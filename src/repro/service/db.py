@@ -41,10 +41,6 @@ from pathlib import Path
 
 SCHEMA_VERSION = 2
 
-SERVICE_DB_ENV = "REPRO_SERVICE_DB"
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
 JOB_STATES = ("pending", "running", "done", "failed")
 
 # state -> the states it may move to; anything else is an illegal hop.
@@ -54,14 +50,6 @@ LEGAL_TRANSITIONS: dict[str, tuple[str, ...]] = {
     "failed": ("pending",),  # explicit requeue
     "done": (),
 }
-
-
-def default_db_path() -> Path:
-    """``$REPRO_SERVICE_DB`` or ``benchmarks/.service/registry.sqlite``."""
-    env = os.environ.get(SERVICE_DB_ENV)
-    if env:
-        return Path(env)
-    return _REPO_ROOT / "benchmarks" / ".service" / "registry.sqlite"
 
 
 class RegistryError(RuntimeError):
@@ -153,10 +141,14 @@ def _job_row_to_dict(row: sqlite3.Row) -> dict:
 
 
 class ServiceDB:
-    """Thread-safe facade over the registry database file."""
+    """Thread-safe facade over the registry database file.
 
-    def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self.path = Path(path) if path is not None else default_db_path()
+    ``repro serve`` opens :attr:`Settings.service_db
+    <repro.settings.Settings>` unless ``--db`` names another file.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
         self._tls = threading.local()
         self._migrate_lock = threading.Lock()
         # Open (and migrate) eagerly so corruption surfaces at construction,

@@ -18,9 +18,10 @@ Engine owns that wiring once:
 
 Per-job runtime overrides (see
 :class:`~repro.service.protocol.RuntimeOverrides`) are resolved here, at
-execution time: an explicit payload value beats the daemon's environment,
-which beats the defaults — so two queued jobs can run under different
-divergence policies or worker counts without anyone mutating ``os.environ``.
+execution time, through :class:`~repro.settings.Settings`: an explicit
+payload value beats the daemon's environment, which beats the defaults — so
+two queued jobs can run under different divergence policies or worker
+counts in one process.
 
 The engine's :attr:`fingerprint` digests its pre-trained weights; request
 fingerprints include it so the result registry can never serve a ranking
@@ -40,13 +41,8 @@ import numpy as np
 
 from ..comparator.scoring import RankingEngine
 from ..obs import get_registry, span
-from ..runtime import (
-    Checkpoint,
-    EvalCache,
-    EvalProgress,
-    ProxyEvaluator,
-    resolve_retry_policy,
-)
+from ..runtime import Checkpoint, EvalProgress, ProxyEvaluator
+from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.task import Task
 from .protocol import RuntimeOverrides
@@ -121,8 +117,9 @@ class Engine:
         eval_fn: override of the proxy evaluation function (tests inject
             cheap or faulty evaluations here; must be module-level picklable
             for pooled jobs).
-        cache_dir: proxy score-cache directory (``None``: the default);
-            ``cache_enabled=False`` disables the cache entirely.
+        cache_dir: proxy score-cache directory; ``cache_enabled=False``
+            disables the cache entirely.  ``None`` for either takes it from
+            :class:`~repro.settings.Settings` when a job runs.
         rank_cache_size: how many per-task ranking caches to keep (LRU).
             Each entry holds a task's preliminary embedding plus every
             candidate embedding computed for it, so a long-running daemon
@@ -138,7 +135,7 @@ class Engine:
         artifact_dir: str | Path | None = None,
         eval_fn: Callable | None = None,
         cache_dir: str | Path | None = None,
-        cache_enabled: bool = True,
+        cache_enabled: bool | None = None,
         rank_cache_size: int = 8,
     ) -> None:
         self.artifacts = artifacts
@@ -173,21 +170,18 @@ class Engine:
         """A :class:`ProxyEvaluator` honoring the job's explicit overrides.
 
         Resolution order for every knob: job payload > this process's
-        environment > default — the environment is consulted *now*, inside
-        the resolver, not frozen at daemon startup.
+        environment > default — the environment is consulted *now*, not
+        frozen at daemon startup.
         """
-        cache = (
-            EvalCache(self.cache_dir) if self.cache_enabled else None
-        )
-        return ProxyEvaluator(
+        settings = Settings.from_env().override(
             workers=runtime.workers,
-            cache=cache,
-            eval_fn=self.eval_fn,
-            retry_policy=resolve_retry_policy(
-                runtime.max_retries, runtime.eval_timeout
-            ),
             divergence_policy=runtime.divergence_policy,
+            max_retries=runtime.max_retries,
+            eval_timeout=runtime.eval_timeout,
+            eval_cache=self.cache_enabled,
+            eval_cache_dir=self.cache_dir,
         )
+        return ProxyEvaluator.from_settings(settings, eval_fn=self.eval_fn)
 
     def job_checkpoint(self, request_fingerprint: str, kind: str) -> Checkpoint | None:
         """The progress checkpoint of one job, addressed by its request.

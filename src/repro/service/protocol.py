@@ -42,7 +42,9 @@ from ..data.datasets import (
 )
 from ..data.transforms import IMPUTATION_POLICIES
 from ..runtime.evaluator import DIVERGENCE_POLICIES
+from ..runtime.fidelity import LABEL_POLICIES, parse_fidelity_schedule
 from ..runtime.fingerprint import CACHE_KEY_VERSION, task_fingerprint_material
+from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
@@ -222,7 +224,8 @@ class RuntimeOverrides:
     """Evaluator/trainer knobs carried in the job payload.
 
     ``None`` means "not specified": the engine falls back to *its own*
-    environment at execution time, exactly like the CLI resolvers do.  An
+    environment at execution time (:class:`~repro.settings.Settings`),
+    exactly as the CLI does for an absent flag.  An
     explicit value always wins over the daemon's environment — that is the
     point of threading these through the payload rather than reading
     ``$REPRO_*`` in the parent once at startup.
@@ -276,19 +279,14 @@ class RuntimeOverrides:
             "proxy_seed": self.proxy_seed,
         }
         if self.fidelity_schedule is not None:
-            from ..runtime.fidelity import (
-                parse_fidelity_schedule,
-                resolve_label_policy,
-            )
-
             # Canonicalize so "3:3:1" and "3 : 3 : 1" (and an explicit vs
             # defaulted label policy) dedupe to one computation.
-            material["fidelity_schedule"] = parse_fidelity_schedule(
-                self.fidelity_schedule
-            ).spec()
-            material["fidelity_label_policy"] = resolve_label_policy(
-                self.fidelity_label_policy
+            settings = Settings.from_env().override(
+                fidelity_schedule=self.fidelity_schedule,
+                fidelity_label_policy=self.fidelity_label_policy,
             )
+            material["fidelity_schedule"] = settings.fidelity_schedule.spec()
+            material["fidelity_label_policy"] = settings.fidelity_label_policy
         return material
 
 
@@ -310,21 +308,16 @@ def parse_runtime(payload: dict | None) -> RuntimeOverrides:
         )
     fidelity_schedule = _optional(payload, "fidelity_schedule", str, "runtime")
     if fidelity_schedule is not None:
-        from ..runtime.fidelity import parse_fidelity_schedule
-
         try:
             parse_fidelity_schedule(fidelity_schedule)
         except ConfigError as exc:
             raise ProtocolError(f"runtime: {exc}") from exc
     label_policy = _optional(payload, "fidelity_label_policy", str, "runtime")
-    if label_policy is not None:
-        from ..runtime.fidelity import LABEL_POLICIES
-
-        if label_policy not in LABEL_POLICIES:
-            raise ProtocolError(
-                f"runtime: unknown fidelity_label_policy {label_policy!r}; "
-                f"expected one of {LABEL_POLICIES}"
-            )
+    if label_policy is not None and label_policy not in LABEL_POLICIES:
+        raise ProtocolError(
+            f"runtime: unknown fidelity_label_policy {label_policy!r}; "
+            f"expected one of {LABEL_POLICIES}"
+        )
     overrides = RuntimeOverrides(
         workers=_optional(payload, "workers", int, "runtime"),
         divergence_policy=policy,

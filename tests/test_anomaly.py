@@ -1,12 +1,15 @@
 """Tests for autodiff anomaly mode: NaN/Inf provenance (``detect_anomaly``)."""
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro import autodiff as ad
 from repro.autodiff import NonFiniteError, Tensor, detect_anomaly, module_scope
 from repro.autodiff.anomaly import (
-    ANOMALY_ENV,
     anomaly_enabled,
     array_stats,
     op_name_of,
@@ -14,6 +17,65 @@ from repro.autodiff.anomaly import (
 )
 from repro.nn.linear import Linear
 from repro.nn.module import Module
+from repro.obs import profile, profiling_enabled
+from repro.runtime import ProxyEvaluator, RetryPolicy
+from repro.runtime import evaluator as evaluator_module
+
+from tests.test_runtime import _candidates, _toy_task
+
+
+def mode_eval(arch_hyper, task, config):
+    """Score = which modes the evaluation ran under: anomaly 1, profiling 2."""
+    return float(anomaly_enabled()) + 2.0 * float(profiling_enabled())
+
+
+def _spawn_pool(monkeypatch):
+    monkeypatch.setattr(
+        evaluator_module,
+        "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        ),
+    )
+
+
+class TestModesReachEveryBackend:
+    """The caller's anomaly and profiling modes ride in the evaluation
+    payload, so every backend runs under them, whatever its thread or
+    process start method."""
+
+    BACKENDS = {
+        "serial": dict(workers=1),
+        "serial-timeout": dict(workers=1, retry_policy=RetryPolicy(timeout=60.0)),
+        "fork-pool": dict(workers=2),
+        "spawn-pool": dict(workers=2),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_modes_reach_backend(self, backend, monkeypatch):
+        if backend == "spawn-pool":
+            _spawn_pool(monkeypatch)
+        evaluator = ProxyEvaluator(
+            cache=None, eval_fn=mode_eval, **self.BACKENDS[backend]
+        )
+        task = _toy_task()
+        assert evaluator.evaluate_many(_candidates(2), task) == [0.0, 0.0]
+        with detect_anomaly(), profile():
+            assert evaluator.evaluate_many(_candidates(2), task) == [3.0, 3.0]
+        assert evaluator.stats.degradations == 0
+
+    def test_process_default_reaches_spawn_pool(self, monkeypatch):
+        _spawn_pool(monkeypatch)
+        evaluator = ProxyEvaluator(workers=2, cache=None, eval_fn=mode_eval)
+        try:
+            set_anomaly_default(True)
+            assert anomaly_enabled()
+            scores = evaluator.evaluate_many(_candidates(2), _toy_task())
+        finally:
+            set_anomaly_default(False)
+        assert scores == [1.0, 1.0]
+        assert evaluator.stats.degradations == 0
+        assert not anomaly_enabled()
 
 
 class TestMode:
@@ -26,18 +88,6 @@ class TestMode:
             with detect_anomaly(False):
                 assert not anomaly_enabled()
             assert anomaly_enabled()
-        assert not anomaly_enabled()
-
-    def test_process_default_via_env(self, monkeypatch):
-        monkeypatch.setenv(ANOMALY_ENV, "0")
-        try:
-            set_anomaly_default(True)
-            assert anomaly_enabled()
-            import os
-
-            assert os.environ[ANOMALY_ENV] == "1"  # inherited by pool workers
-        finally:
-            set_anomaly_default(False)
         assert not anomaly_enabled()
 
     def test_disabled_mode_keeps_legacy_behavior(self):

@@ -120,6 +120,17 @@ class TestServiceParsers:
         assert main(["serve", "--port", "0"]) == 2
         assert "REPRO_METRICS_INTERVAL" in capsys.readouterr().err
 
+    def test_search_rejects_malformed_workers_env(self, monkeypatch, capsys):
+        import repro.experiments
+
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pre-training started")
+
+        monkeypatch.setattr(repro.experiments, "pretrain_variant", pretrain)
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        assert main(["search", "SZ-TAXI", "--scale", "smoke"]) == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err
+
     def test_trace_report_parser_job_filter(self):
         assert build_parser().parse_args(["trace", "report", "t.jsonl"]).job is None
         args = build_parser().parse_args(

@@ -26,7 +26,7 @@ from repro.data import CTSData, NonFiniteDataError, non_finite_report, sanitize_
 from repro.data.transforms import impute_non_finite
 from repro.nn.loss import bce_with_logits
 from repro.runtime import ProxyEvaluator, RetryPolicy
-from repro.runtime.evaluator import resolve_divergence_policy
+from repro.settings import Settings
 from repro.search import EvolutionConfig, EvolutionarySearch, SearchTrace
 from repro.space import HyperSpace, JointSearchSpace
 from repro.tasks import ProxyConfig, SENTINEL_SCORE, Task, is_sentinel_score
@@ -68,20 +68,23 @@ def sometimes_diverges(arch_hyper, task, config):
 
 
 class TestDivergencePolicy:
-    def test_default_is_sentinel(self):
-        assert resolve_divergence_policy() == "sentinel"
+    def test_default_is_sentinel(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DIVERGENCE_POLICY", raising=False)
+        assert Settings.from_env().divergence_policy == "sentinel"
 
     def test_env_var_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIVERGENCE_POLICY", "raise")
-        assert resolve_divergence_policy() == "raise"
+        assert Settings.from_env().divergence_policy == "raise"
+        assert ProxyEvaluator(cache=None).divergence_policy == "raise"
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIVERGENCE_POLICY", "raise")
-        assert resolve_divergence_policy("sentinel") == "sentinel"
+        explicit = Settings.from_env().override(divergence_policy="sentinel")
+        assert explicit.divergence_policy == "sentinel"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            resolve_divergence_policy("explode")
+            Settings().override(divergence_policy="explode")
 
 
 class TestSentinelScore:

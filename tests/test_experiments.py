@@ -125,23 +125,34 @@ class TestPretrainAndSearch:
     def test_unreadable_cache_payloads_treated_as_miss(self, tmp_path):
         import pickle
 
-        from repro.experiments.harness import _load_artifact_cache
+        from repro.runtime import Checkpoint
+
+        def load(path):
+            # The store pretrain_variant reads its artifact files through.
+            return Checkpoint(path, kind="tahc-artifacts").load()
 
         garbage = tmp_path / "garbage.pkl"
         garbage.write_bytes(b"\x04y\x0f\x01 not a pickle")
-        assert _load_artifact_cache(garbage) is None
+        assert load(garbage) is None
         assert not garbage.exists()  # bad file removed
 
         truncated = tmp_path / "truncated.pkl"
         truncated.write_bytes(b"")
-        assert _load_artifact_cache(truncated) is None
+        assert load(truncated) is None
 
         # Pre-versioning payloads (a bare object, no format tag) are stale.
         unversioned = tmp_path / "unversioned.pkl"
         with open(unversioned, "wb") as handle:
             pickle.dump({"artifacts": "not-artifacts"}, handle)
-        assert _load_artifact_cache(unversioned) is None
+        assert load(unversioned) is None
         assert not unversioned.exists()
+
+        # So are artifact files written under the retired format-2 envelope.
+        legacy = tmp_path / "legacy.pkl"
+        with open(legacy, "wb") as handle:
+            pickle.dump({"format_version": 2, "artifacts": "stale"}, handle)
+        assert load(legacy) is None
+        assert not legacy.exists()
 
 
 class TestBaselineRunner:

@@ -22,8 +22,8 @@ from repro.runtime import (
     ProxyEvaluator,
     RetryPolicy,
     proxy_fingerprint,
-    resolve_retry_policy,
 )
+from repro.settings import Settings
 from repro.space import HyperSpace, JointSearchSpace
 from repro.tasks import Task
 
@@ -163,14 +163,15 @@ class TestRetryPolicy:
     def test_resolve_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
         monkeypatch.delenv("REPRO_EVAL_TIMEOUT", raising=False)
-        assert resolve_retry_policy() is None
+        assert Settings.from_env().retry_policy() is None
         monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
-        policy = resolve_retry_policy()
+        policy = Settings.from_env().retry_policy()
         assert policy is not None and policy.max_retries == 3
         monkeypatch.setenv("REPRO_EVAL_TIMEOUT", "1.5")
-        assert resolve_retry_policy().timeout == 1.5
+        assert Settings.from_env().retry_policy().timeout == 1.5
         # explicit arguments beat the environment
-        assert resolve_retry_policy(max_retries=1).max_retries == 1
+        explicit = Settings.from_env().override(max_retries=1)
+        assert explicit.retry_policy().max_retries == 1
 
 
 class TestRetryUntilSuccess:

@@ -31,10 +31,9 @@ from repro.runtime import (
     ProxyEvaluator,
     parse_fidelity_schedule,
     proxy_fingerprint,
-    resolve_fidelity_schedule,
-    resolve_label_policy,
     warm_lineage_fingerprint,
 )
+from repro.settings import Settings
 from repro.space import HyperSpace, JointSearchSpace
 from repro.tasks import ProxyConfig, Task, measure_arch_hyper
 from repro.utils.validation import ConfigError
@@ -106,21 +105,23 @@ class TestSchedule:
 
     def test_resolver_passthrough_env_and_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_FIDELITY_SCHEDULE", raising=False)
-        assert resolve_fidelity_schedule(None) is None
+        assert Settings.from_env().fidelity_schedule is None
         explicit = FidelitySchedule(eta=2, rungs=2, min_epochs=1)
-        assert resolve_fidelity_schedule(explicit) is explicit
-        assert resolve_fidelity_schedule("2:2:1") == explicit
+        resolve = Settings.from_env().override
+        assert resolve(fidelity_schedule=explicit).fidelity_schedule is explicit
+        assert resolve(fidelity_schedule="2:2:1").fidelity_schedule == explicit
         monkeypatch.setenv("REPRO_FIDELITY_SCHEDULE", "4:2:1")
-        assert resolve_fidelity_schedule(None) == FidelitySchedule(4, 2, 1)
+        assert Settings.from_env().fidelity_schedule == FidelitySchedule(4, 2, 1)
 
     def test_label_policy_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_FIDELITY_LABEL_POLICY", raising=False)
-        assert resolve_label_policy(None) == "survivors"
-        assert resolve_label_policy("tagged") == "tagged"
+        assert Settings.from_env().fidelity_label_policy == "survivors"
+        explicit = Settings.from_env().override(fidelity_label_policy="tagged")
+        assert explicit.fidelity_label_policy == "tagged"
         monkeypatch.setenv("REPRO_FIDELITY_LABEL_POLICY", "tagged")
-        assert resolve_label_policy(None) == "tagged"
+        assert Settings.from_env().fidelity_label_policy == "tagged"
         with pytest.raises(ConfigError):
-            resolve_label_policy("best-effort")
+            Settings().override(fidelity_label_policy="best-effort")
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from repro.autodiff import Tensor, absolute, broadcast_to, check_gradients, mean
 from repro.autodiff.fused import (
-    REFERENCE_KERNELS_ENV,
     fused_kernels_enabled,
     gated_tanh_sigmoid,
     mean_absolute_error,
@@ -30,6 +29,9 @@ from repro.nn.conv import (
     conv2d_1xk,
     im2col_conv,
 )
+from repro.settings import ENV_VARS
+
+REFERENCE_KERNELS_ENV = ENV_VARS["reference_kernels"]
 
 RNG = np.random.default_rng(23)
 

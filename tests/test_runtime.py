@@ -13,10 +13,10 @@ from repro.runtime import (
     configure_default_evaluator,
     get_default_evaluator,
     proxy_fingerprint,
-    resolve_workers,
     set_default_evaluator,
 )
 from repro.runtime.cache import CACHE_FORMAT_VERSION
+from repro.settings import Settings
 from repro.space import HyperSpace, JointSearchSpace
 from repro.tasks import ProxyConfig, Task
 
@@ -218,20 +218,23 @@ class TestProxyEvaluator:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self):
-        assert resolve_workers(4) == 4
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert Settings.from_env().override(workers=4).workers == 4
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers() == 3
+        assert Settings.from_env().workers == 3
+        assert ProxyEvaluator(cache=None).workers == 3
 
     def test_default_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers() == 1
+        assert Settings.from_env().workers == 1
 
     def test_floor_of_one(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-2) == 1
+        assert Settings().override(workers=0).workers == 1
+        assert Settings().override(workers=-2).workers == 1
+        assert Settings.from_env({"REPRO_WORKERS": "0"}).workers == 1
 
 
 class TestDefaultEvaluator:

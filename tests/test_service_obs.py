@@ -18,7 +18,7 @@ server, worker daemons, sqlite registry — but with an explicitly injected
 * ``GET /metrics/history`` backed by the :class:`MetricsSampler` and its
   bounded, downsampling retention,
 * the ``GET /dash`` HTML status page,
-* ``resolve_metrics_interval`` flag/env precedence and typed rejection.
+* the metrics interval's flag/env precedence and typed rejection.
 """
 
 import urllib.error
@@ -29,14 +29,13 @@ import pytest
 from repro.experiments.config import SCALES
 from repro.obs import SpanBuffer, global_registry
 from repro.service import (
-    METRICS_INTERVAL_ENV,
     Daemon,
     Engine,
     MetricsSampler,
     ServiceAPI,
     ServiceDB,
-    resolve_metrics_interval,
 )
+from repro.settings import Settings
 from repro.utils.validation import ConfigError
 
 from tests.test_service import (
@@ -379,22 +378,25 @@ class TestDashboard:
 
 class TestMetricsIntervalConfig:
     def test_explicit_value_beats_env(self, monkeypatch):
-        monkeypatch.setenv(METRICS_INTERVAL_ENV, "7.5")
-        assert resolve_metrics_interval(2.0) == 2.0
-        assert resolve_metrics_interval() == 7.5
-        assert resolve_metrics_interval(0) == 0.0
+        monkeypatch.setenv("REPRO_METRICS_INTERVAL", "7.5")
+        resolve = Settings.from_env().override
+        assert resolve(metrics_interval=2.0).metrics_interval == 2.0
+        assert resolve().metrics_interval == 7.5
+        assert resolve(metrics_interval=0).metrics_interval == 0.0
 
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(METRICS_INTERVAL_ENV, raising=False)
-        assert resolve_metrics_interval() == 30.0
+    def test_default_when_unset(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
+        assert Settings.from_env().metrics_interval == 30.0
+        sampler = MetricsSampler(ServiceDB(tmp_path / "registry.sqlite"))
+        assert sampler.interval == 30.0
 
     @pytest.mark.parametrize("env", ["nope", "1h", "[]"])
     def test_malformed_env_is_config_error(self, monkeypatch, env):
-        monkeypatch.setenv(METRICS_INTERVAL_ENV, env)
-        with pytest.raises(ConfigError):
-            resolve_metrics_interval()
+        monkeypatch.setenv("REPRO_METRICS_INTERVAL", env)
+        with pytest.raises(ConfigError, match="REPRO_METRICS_INTERVAL"):
+            Settings.from_env()
 
     @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
     def test_invalid_values_are_config_error(self, value):
         with pytest.raises(ConfigError):
-            resolve_metrics_interval(value)
+            Settings().override(metrics_interval=value)
