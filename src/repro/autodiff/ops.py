@@ -187,17 +187,6 @@ def relu(a) -> Tensor:
     return make_op(out, (a,), backward)
 
 
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    out = np.where(mask, a.data, negative_slope * a.data)
-
-    def backward(grad):
-        return (grad * np.where(mask, 1.0, negative_slope),)
-
-    return make_op(out, (a,), backward)
-
-
 def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = as_tensor(a)

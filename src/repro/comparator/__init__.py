@@ -5,16 +5,12 @@ from .curriculum import curriculum_schedule
 from .gin import EncoderStats, GINEncoder, GINLayer
 from .pairing import (
     ComparisonPair,
-    ScoredArchHyper,
-    all_ordered_pairs,
-    comparable_pair_indices,
     diverged_mask,
     dynamic_pairs,
     has_comparable_pair,
     make_label,
     ordered_pair_indices,
     pair_index_arrays,
-    pair_labels,
 )
 from .scoring import RankingEngine, RankingStats, sanitize_win_matrix
 from .pretrain import (
@@ -22,7 +18,6 @@ from .pretrain import (
     PretrainHistory,
     TaskSampleSet,
     collect_task_samples,
-    evaluate_comparator,
     pretrain_tahc,
 )
 from .tahc import TAHC
@@ -39,21 +34,16 @@ __all__ = [
     "RankingStats",
     "sanitize_win_matrix",
     "ComparisonPair",
-    "ScoredArchHyper",
-    "all_ordered_pairs",
-    "comparable_pair_indices",
     "diverged_mask",
     "dynamic_pairs",
     "has_comparable_pair",
     "make_label",
     "ordered_pair_indices",
     "pair_index_arrays",
-    "pair_labels",
     "PretrainConfig",
     "PretrainHistory",
     "TaskSampleSet",
     "collect_task_samples",
-    "evaluate_comparator",
     "pretrain_tahc",
     "TAHC",
 ]

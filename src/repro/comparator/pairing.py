@@ -13,25 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..space.archhyper import ArchHyper
 from ..tasks.proxy import is_sentinel_score
-
-
-@dataclass(frozen=True)
-class ScoredArchHyper:
-    """An arch-hyper with its measured early-validation error (lower better).
-
-    Sentinel (diverged) scores are allowed — they are finite by construction
-    — but NaN/Inf scores are rejected at the door so no non-finite value can
-    ever reach a comparator label.
-    """
-
-    arch_hyper: ArchHyper
-    score: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
-            raise ValueError(f"non-finite score for {self.arch_hyper}")
 
 
 @dataclass(frozen=True)
@@ -163,14 +145,6 @@ def ordered_pair_indices(count: int) -> tuple[np.ndarray, np.ndarray]:
     return index_a, index_b
 
 
-def pair_labels(
-    scores: np.ndarray, index_a: np.ndarray, index_b: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`make_label` over index arrays."""
-    scores = np.asarray(scores)
-    return (scores[index_a] <= scores[index_b]).astype(np.float32)
-
-
 def pair_index_arrays(
     pairs: list[ComparisonPair],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,40 +154,3 @@ def pair_index_arrays(
     index_b = np.fromiter((p.index_b for p in pairs), dtype=np.int64, count=len(pairs))
     labels = np.fromiter((p.label for p in pairs), dtype=np.float32, count=len(pairs))
     return index_a, index_b, labels
-
-
-def comparable_pair_indices(
-    scores: np.ndarray, eligible: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered-pair index arrays with both-diverged pairs filtered out.
-
-    Identical to :func:`ordered_pair_indices` on a sentinel-free pool (the
-    common case, and a cheap vectorized check), so evaluation stays on the
-    memoized template unless divergence actually occurred.  With an
-    ``eligible`` mask (fidelity label policy), pairs touching an ineligible
-    candidate are filtered out as well.
-    """
-    index_a, index_b = ordered_pair_indices(len(scores))
-    mask = _eligibility(len(scores), eligible)
-    bad = diverged_mask(scores)
-    if not bad.any() and mask is None:
-        return index_a, index_b
-    keep = ~(bad[index_a] & bad[index_b])
-    if mask is not None:
-        keep &= mask[index_a] & mask[index_b]
-    return index_a[keep], index_b[keep]
-
-
-def all_ordered_pairs(scores: np.ndarray) -> list[ComparisonPair]:
-    """Every comparable ordered pair (used by evaluation, not training).
-
-    Both-diverged pairs are excluded — identically to the training side —
-    so a sentinel score can never manufacture a label out of a tie between
-    two failures.
-    """
-    index_a, index_b = comparable_pair_indices(scores)
-    labels = pair_labels(scores, index_a, index_b)
-    return [
-        ComparisonPair(int(i), int(j), float(label))
-        for i, j, label in zip(index_a, index_b, labels)
-    ]

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..autodiff import Tensor, sigmoid, no_grad
+from ..autodiff import Tensor, sigmoid
 from ..nn.loss import bce_with_logits
 from ..obs.heartbeat import heartbeat
 from ..obs.trace import span
@@ -33,13 +33,7 @@ if TYPE_CHECKING:
 from ..utils.seeding import derive_rng
 from .ahc import Encodings
 from .curriculum import curriculum_schedule
-from .pairing import (
-    comparable_pair_indices,
-    dynamic_pairs,
-    has_comparable_pair,
-    pair_index_arrays,
-    pair_labels,
-)
+from .pairing import dynamic_pairs, has_comparable_pair, pair_index_arrays
 from .tahc import TAHC
 
 
@@ -418,27 +412,3 @@ def pretrain_tahc(
             epochs_run=len(history.losses), stopped_early=stopped
         )
     return history
-
-
-def evaluate_comparator(
-    model: TAHC, sample_set: TaskSampleSet
-) -> float:
-    """Pairwise accuracy of the comparator on one task's measured samples.
-
-    Uses the memoized O(n²) ordered-pair index template and the sample set's
-    cached encodings — no per-call pair-object construction.  Both-diverged
-    (sentinel) pairs are excluded, matching the training-side pairing rules,
-    as are pairs touching a label-ineligible (sub-full-fidelity) candidate.
-    """
-    index_a, index_b = comparable_pair_indices(
-        sample_set.scores, sample_set.label_mask
-    )
-    if len(index_a) == 0:
-        raise ValueError(
-            f"task {sample_set.task_name!r} has no comparable pairs "
-            "(all measured candidates diverged or are label-ineligible)"
-        )
-    labels = pair_labels(sample_set.scores, index_a, index_b)
-    with no_grad():
-        _, accuracy = _task_pair_loss(model, sample_set, index_a, index_b, labels)
-    return accuracy

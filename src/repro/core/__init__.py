@@ -6,7 +6,6 @@ from .stblock import STBlock
 from .trainer import (
     TrainConfig,
     TrainResult,
-    evaluate_by_horizon,
     evaluate_forecaster,
     predict,
     train_forecaster,
@@ -23,7 +22,6 @@ __all__ = [
     "StepHealth",
     "TrainConfig",
     "TrainResult",
-    "evaluate_by_horizon",
     "evaluate_forecaster",
     "predict",
     "train_forecaster",

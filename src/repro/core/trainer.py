@@ -301,29 +301,3 @@ def evaluate_forecaster(
         predictions = inverse(predictions)
         targets = inverse(targets)
     return evaluate_forecast(predictions, targets, mask=windows.y_mask)
-
-
-def evaluate_by_horizon(
-    model: Module,
-    windows: WindowSet,
-    batch_size: int = 64,
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[ForecastScores]:
-    """Per-forecast-step scores (step 1 ... step H), the CTS reporting style.
-
-    Errors typically grow with the horizon; this surfaces that profile
-    instead of the single averaged number.
-    """
-    predictions = predict(model, windows, batch_size)
-    targets = windows.y
-    if inverse is not None:
-        predictions = inverse(predictions)
-        targets = inverse(targets)
-    return [
-        evaluate_forecast(
-            predictions[:, step],
-            targets[:, step],
-            mask=None if windows.y_mask is None else windows.y_mask[:, step],
-        )
-        for step in range(targets.shape[1])
-    ]

@@ -28,7 +28,6 @@ from .graph import (
     gaussian_kernel_adjacency,
     random_sensor_positions,
     subsample_adjacency,
-    symmetric_normalized_laplacian_support,
     transition_matrix,
 )
 from .scalers import StandardScaler
@@ -65,7 +64,6 @@ __all__ = [
     "gaussian_kernel_adjacency",
     "random_sensor_positions",
     "subsample_adjacency",
-    "symmetric_normalized_laplacian_support",
     "transition_matrix",
     "StandardScaler",
     "transforms",

@@ -42,14 +42,6 @@ def transition_matrix(adj: np.ndarray) -> np.ndarray:
     return (adj / rowsum).astype(np.float32)
 
 
-def symmetric_normalized_laplacian_support(adj: np.ndarray) -> np.ndarray:
-    """D^-1/2 A D^-1/2, the GCN propagation support."""
-    degree = adj.sum(axis=1)
-    degree[degree == 0] = 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(degree)
-    return (adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]).astype(np.float32)
-
-
 def subsample_adjacency(adj: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Restrict ``adj`` to ``nodes``, the paper's task-enrichment reconstruction.
 

@@ -1,61 +1,15 @@
-"""Time series augmentations.
+"""Imputation: repair the non-finite entries of a dirty series.
 
-Used for robustness experiments and as the augmentation inventory behind
-contrastive pre-training (TS2Vec's crop + mask live in the TS2Vec module
-itself; these are the generic, reusable forms).  All transforms accept and
-return ``(..., T, F)`` arrays and take an explicit RNG.
+The dirty-data path (:func:`~repro.data.corruption.corrupt_dataset`,
+:func:`~repro.data.datasets.sanitize_values` and the service's inline
+``imputation`` option) repairs NaN/Inf entries here before a task is built.
+Both functions accept ``(..., T, F)`` arrays and return finite entries
+bit-identical, so clean data passes through unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .corruption import CorruptionResult, inject_irregular_sampling
-
-
-def jitter(values: np.ndarray, rng: np.random.Generator, sigma: float = 0.03) -> np.ndarray:
-    """Additive Gaussian noise scaled by the series' standard deviation."""
-    scale = values.std() * sigma
-    return values + rng.normal(0.0, scale, size=values.shape)
-
-
-def magnitude_scale(
-    values: np.ndarray, rng: np.random.Generator, sigma: float = 0.1
-) -> np.ndarray:
-    """Multiply each feature channel by a random factor around 1."""
-    factors = rng.normal(1.0, sigma, size=values.shape[-1])
-    return values * factors
-
-
-def random_crop(
-    values: np.ndarray, rng: np.random.Generator, crop_length: int
-) -> np.ndarray:
-    """Contiguous random crop along the time axis (second-to-last axis)."""
-    time = values.shape[-2]
-    if not 0 < crop_length <= time:
-        raise ValueError(f"crop_length {crop_length} not in (0, {time}]")
-    start = int(rng.integers(0, time - crop_length + 1))
-    return values[..., start : start + crop_length, :]
-
-
-def timestamp_mask(
-    values: np.ndarray, rng: np.random.Generator, rate: float = 0.15
-) -> CorruptionResult:
-    """Drop random timestamps as NaN-with-mask (TS2Vec's masking augmentation).
-
-    Dropped timestamps used to be zero-filled, which conflated outages with
-    legitimate zero readings; now they become NaN and the returned
-    :class:`~repro.data.corruption.CorruptionResult` records *which* entries
-    were dropped, so callers can impute and score mask-aware.
-    """
-    values = np.asarray(values)
-    t, f = values.shape[-2:]
-    result = inject_irregular_sampling(values.reshape(-1, t, f), rng, rate=rate)
-    return CorruptionResult(
-        result.values.reshape(values.shape),
-        result.mask.reshape(values.shape),
-        values,
-    )
 
 
 IMPUTATION_POLICIES = ("mean", "ffill", "linear")
@@ -155,31 +109,3 @@ def impute_non_finite(values: np.ndarray) -> np.ndarray:
     fill = np.broadcast_to(means, values.shape)[bad]
     clean[bad] = fill
     return clean
-
-
-def missing_blocks(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    n_blocks: int = 2,
-    block_length: int = 4,
-) -> CorruptionResult:
-    """Simulate fleet-wide outages: NaN out contiguous time blocks.
-
-    Each block hits every series at once (a collector outage, not a single
-    bad sensor — for per-series blocks use
-    :func:`~repro.data.corruption.inject_block_missing`).  Dropped entries
-    are NaN with the observation mask recording them, not zero-filled.  The
-    block start is drawn over every valid position including the last one;
-    when ``time <= block_length`` the single possible block covers the whole
-    axis instead of hitting a degenerate range.
-    """
-    values = np.asarray(values)
-    time = values.shape[-2]
-    block = min(max(1, block_length), time)
-    corrupted = values.astype(np.float64, copy=True)
-    mask = np.ones(values.shape, dtype=bool)
-    for _ in range(n_blocks):
-        start = int(rng.integers(0, time - block + 1))
-        corrupted[..., start : start + block, :] = np.nan
-        mask[..., start : start + block, :] = False
-    return CorruptionResult(corrupted, mask, values)

@@ -23,10 +23,6 @@ def metric_value(scores: ForecastScores, metric: str) -> float:
     }[metric]
 
 
-def metric_is_higher_better(metric: str) -> bool:
-    return metric == "CORR"
-
-
 @dataclass
 class Aggregate:
     """Mean and standard deviation over repeated runs (paper: 5 seeds)."""

@@ -6,12 +6,10 @@ from .forecasting import (
     evaluate_forecast,
     mae,
     mape,
-    masked_mae,
-    masked_rmse,
     rmse,
     rrse,
 )
-from .ranking import kendall_tau, pairwise_accuracy, spearman, top_k_regret
+from .ranking import pairwise_accuracy, spearman, top_k_regret
 
 __all__ = [
     "ForecastScores",
@@ -19,11 +17,8 @@ __all__ = [
     "evaluate_forecast",
     "mae",
     "mape",
-    "masked_mae",
-    "masked_rmse",
     "rmse",
     "rrse",
-    "kendall_tau",
     "pairwise_accuracy",
     "spearman",
     "top_k_regret",

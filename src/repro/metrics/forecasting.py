@@ -56,40 +56,6 @@ def corr(prediction: np.ndarray, target: np.ndarray) -> float:
     return float((numerator[valid] / denominator[valid]).mean())
 
 
-def masked_mae(
-    prediction: np.ndarray,
-    target: np.ndarray,
-    null_value: float = 0.0,
-    mask: np.ndarray | None = None,
-) -> float:
-    """MAE over observed target positions.
-
-    An explicit boolean ``mask`` (``True`` = score this position) wins over
-    the ``null_value`` sentinel; the sentinel form mirrors the CTS
-    literature (DCRNN onward), where traffic datasets mark missing sensor
-    readings with zeros.
-    """
-    if mask is None:
-        mask = target != null_value
-    if not mask.any():
-        return 0.0
-    return float(np.mean(np.abs(prediction[mask] - target[mask])))
-
-
-def masked_rmse(
-    prediction: np.ndarray,
-    target: np.ndarray,
-    null_value: float = 0.0,
-    mask: np.ndarray | None = None,
-) -> float:
-    """RMSE over observed target positions (see :func:`masked_mae`)."""
-    if mask is None:
-        mask = target != null_value
-    if not mask.any():
-        return 0.0
-    return float(np.sqrt(np.mean((prediction[mask] - target[mask]) ** 2)))
-
-
 @dataclass(frozen=True)
 class ForecastScores:
     """Bundle of every metric for one evaluation run."""

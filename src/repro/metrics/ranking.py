@@ -38,20 +38,6 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float((ra_c * rb_c).sum() / denominator)
 
 
-def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
-    """Kendall's τ-a: pairwise concordance of two score vectors."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("kendall_tau expects two equal-length 1-D arrays")
-    n = len(a)
-    if n < 2:
-        raise ValueError("kendall_tau requires at least two observations")
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    upper = np.triu_indices(n, k=1)
-    return float((da[upper] * db[upper]).sum() / len(upper[0]))
-
-
 def pairwise_accuracy(
     predicted_wins: np.ndarray, true_scores: np.ndarray
 ) -> float:

@@ -1,6 +1,6 @@
 """Neural-network layer library built on :mod:`repro.autodiff`."""
 
-from .module import Module, ModuleList, Parameter, Sequential
+from .module import Module, ModuleList, Parameter
 from .linear import Linear, MLP
 from .conv import CausalConv2d, Conv1d, PointwiseConv2d, conv1d, conv2d_1xk
 from .norm import ChannelNorm2d, LayerNorm
@@ -12,7 +12,6 @@ from .attention import (
 )
 from .loss import (
     bce_with_logits,
-    hinge_rank_loss,
     mae_loss,
     masked_mae_loss,
     mse_loss,
@@ -23,7 +22,6 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
-    "Sequential",
     "Linear",
     "MLP",
     "CausalConv2d",
@@ -38,7 +36,6 @@ __all__ = [
     "ProbSparseAttention",
     "scaled_dot_product_attention",
     "bce_with_logits",
-    "hinge_rank_loss",
     "mae_loss",
     "masked_mae_loss",
     "mse_loss",

@@ -36,13 +36,6 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], gain: float
     return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 
-def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """He uniform initialization suited to ReLU nonlinearities."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
-
-
 def normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
     """Zero-mean Gaussian initialization with the given standard deviation."""
     return (rng.standard_normal(shape) * std).astype(DEFAULT_DTYPE)

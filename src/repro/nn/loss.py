@@ -67,10 +67,3 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
         return grad * (sig - y), grad * (-x)
 
     return mean(make_op(out, (logits, labels), bce_backward))
-
-
-def hinge_rank_loss(score_a: Tensor, score_b: Tensor, margin: float = 0.1) -> Tensor:
-    """Margin ranking loss used by the ranking-quality ablation."""
-    from ..autodiff import maximum
-
-    return mean(maximum(margin - (score_a - score_b), 0.0))

@@ -159,16 +159,3 @@ class ModuleList(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self._items[index]
-
-
-class Sequential(Module):
-    """Chain modules, feeding each output into the next module."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = ModuleList(modules)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x

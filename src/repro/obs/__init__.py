@@ -30,7 +30,6 @@ from .heartbeat import (
     Heartbeat,
     configure_heartbeat,
     heartbeat,
-    heartbeat_enabled,
     latency_summary,
 )
 from .metrics import (
@@ -114,7 +113,6 @@ __all__ = [
     "get_tracer",
     "global_registry",
     "heartbeat",
-    "heartbeat_enabled",
     "latency_summary",
     "load_trace",
     "metrics_scope",

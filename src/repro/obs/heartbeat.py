@@ -69,10 +69,6 @@ def configure_heartbeat(
         _default._last.clear()
 
 
-def heartbeat_enabled() -> bool:
-    return _enabled
-
-
 def heartbeat(key: str, render: Callable[[], str], force: bool = False) -> bool:
     """Pulse the process-wide heartbeat; no-op (False) when disabled."""
     if not _enabled:

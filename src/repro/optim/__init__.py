@@ -1,14 +1,10 @@
 """Optimizers and training utilities."""
 
-from .optimizer import SGD, Adam, Optimizer, clip_grad_norm, grad_norm
-from .schedulers import CosineAnnealingLR, StepLR
+from .optimizer import Adam, Optimizer, clip_grad_norm, grad_norm
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "grad_norm",
-    "StepLR",
-    "CosineAnnealingLR",
 ]

@@ -1,8 +1,8 @@
 """Gradient-descent optimizers.
 
 The paper trains forecasting models and comparators with Adam (lr 1e-3,
-weight decay 5e-4 / 1e-4); both are reproduced here, along with plain SGD
-with momentum used by a few baselines and the gradient-norm clipper.
+weight decay 5e-4 / 1e-4); it is reproduced here, along with the
+gradient-norm clipper.
 """
 
 from __future__ import annotations
@@ -65,41 +65,6 @@ def _restore_slot_arrays(
                 f"expected {slot.shape}, got {value.shape}"
             )
         slot[...] = value
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {"velocity": _copy_slot_arrays(self._velocity)}
-
-    def load_state_dict(self, state: dict) -> None:
-        _restore_slot_arrays(self._velocity, state["velocity"], "velocity")
 
 
 class Adam(Optimizer):

@@ -18,8 +18,7 @@ comparator pre-training and per-task search.  This package centralizes every
 
 Call sites take an optional ``evaluator`` argument and fall back to the
 process-wide default from :func:`get_default_evaluator`, which the CLI (and
-tests) reconfigure via :func:`set_default_evaluator` /
-:func:`configure_default_evaluator`.
+tests) replace via ``set_default_evaluator(ProxyEvaluator.from_settings(...))``.
 
 See ``docs/runtime.md`` for the full picture.
 """
@@ -69,32 +68,6 @@ def set_default_evaluator(evaluator: ProxyEvaluator | None) -> None:
     _default_evaluator = evaluator
 
 
-def configure_default_evaluator(
-    workers: int | None = None,
-    cache_enabled: bool | None = None,
-    cache_dir=None,
-    max_retries: int | None = None,
-    eval_timeout: float | None = None,
-    divergence_policy: str | None = None,
-) -> ProxyEvaluator:
-    """Build, install, and return a default evaluator from CLI-style knobs.
-
-    Each knob left ``None`` falls back to :class:`~repro.settings.Settings`
-    (its ``$REPRO_*`` variable, then its default).
-    """
-    settings = Settings.from_env().override(
-        workers=workers,
-        eval_cache=cache_enabled,
-        eval_cache_dir=cache_dir,
-        max_retries=max_retries,
-        eval_timeout=eval_timeout,
-        divergence_policy=divergence_policy,
-    )
-    evaluator = ProxyEvaluator.from_settings(settings)
-    set_default_evaluator(evaluator)
-    return evaluator
-
-
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
@@ -115,7 +88,6 @@ __all__ = [
     "RetryPolicy",
     "RungReport",
     "WarmStore",
-    "configure_default_evaluator",
     "get_default_evaluator",
     "parse_fidelity_schedule",
     "proxy_fingerprint",

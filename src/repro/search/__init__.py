@@ -14,7 +14,7 @@ from .evolutionary import (
     EvolutionResult,
     EvolutionarySearch,
 )
-from .round_robin import round_robin_ranking, round_robin_top_k, win_counts
+from .round_robin import round_robin_top_k, win_counts
 from .zero_shot import PhaseTimings, ZeroShotConfig, ZeroShotResult, ZeroShotSearch
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionResult",
     "EvolutionarySearch",
-    "round_robin_ranking",
     "round_robin_top_k",
     "win_counts",
     "PhaseTimings",

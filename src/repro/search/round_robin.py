@@ -28,8 +28,3 @@ def round_robin_top_k(win_matrix: np.ndarray, k: int) -> list[int]:
     # Stable sort on negative counts: ties keep the original sampling order.
     order = np.argsort(-counts, kind="stable")
     return [int(i) for i in order[:k]]
-
-
-def round_robin_ranking(win_matrix: np.ndarray) -> list[int]:
-    """Full ranking (best first) by win counts."""
-    return round_robin_top_k(win_matrix, len(win_matrix))

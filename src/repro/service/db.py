@@ -1,13 +1,15 @@
-"""The sqlite-backed service registry: tasks, jobs, and results.
+"""The sqlite-backed service registry: jobs and results.
 
 One database file holds everything the service remembers across restarts:
 
-* ``tasks`` — every task spec ever submitted, keyed by its content
-  fingerprint (so the registry doubles as a task catalogue),
 * ``jobs`` — the persistent job queue with its state machine,
 * ``results`` — content-addressed result bodies; two tenants submitting
   identical work share one row here, which is what makes duplicate
   submissions free.
+
+The schema also carries a ``tasks`` table (task specs keyed by content
+fingerprint) that nothing writes or reads; dropping it needs a
+``user_version`` migration of its own.
 
 Concurrency model: every thread gets its own connection (sqlite
 connections are not thread-safe; :class:`ServiceDB` keeps them in
@@ -226,25 +228,6 @@ class ServiceDB:
         return _WriteTransaction(self._connection())
 
     # ------------------------------------------------------------------
-    # Tasks
-    # ------------------------------------------------------------------
-    def record_task(self, fingerprint: str, name: str, spec: dict) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO tasks (fingerprint, name, spec, created) "
-                "VALUES (?, ?, ?, ?)",
-                (fingerprint, name, json.dumps(spec, sort_keys=True), time.time()),
-            )
-
-    def list_tasks(self) -> list[dict]:
-        rows = self._connection().execute(
-            "SELECT fingerprint, name, spec, created FROM tasks ORDER BY created"
-        ).fetchall()
-        return [
-            {**dict(row), "spec": json.loads(row["spec"])} for row in rows
-        ]
-
-    # ------------------------------------------------------------------
     # Jobs
     # ------------------------------------------------------------------
     def submit_job(
@@ -304,12 +287,6 @@ class ServiceDB:
 
     def get_job(self, job_id: str) -> dict:
         return self._get_job(self._connection(), job_id)
-
-    def find_job(self, fingerprint: str) -> dict | None:
-        row = self._connection().execute(
-            "SELECT * FROM jobs WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        return _job_row_to_dict(row) if row is not None else None
 
     def list_jobs(self, status: str | None = None) -> list[dict]:
         conn = self._connection()
@@ -409,14 +386,6 @@ class ServiceDB:
                     f"job {job_id}: lost transition race from {current!r}"
                 )
             return self._get_job(conn, job_id)
-
-    def update_metrics(self, job_id: str, metrics: dict) -> None:
-        """Stream a progress snapshot onto a job (observability only)."""
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE jobs SET metrics = ?, updated = ? WHERE id = ?",
-                (json.dumps(metrics, sort_keys=True), time.time(), job_id),
-            )
 
     def heartbeat(self, job_id: str, owner: str) -> bool:
         """Refresh a running job's ``updated`` stamp; the liveness signal.

@@ -16,7 +16,6 @@ from .encoding import (
     ArchHyperEncoding,
     encode_arch_hyper,
     encode_batch,
-    operator_vocabulary,
 )
 from .hyperparams import HyperParameters, HyperSpace
 from .pruning import PruningConfig, prune_space, space_reduction
@@ -36,7 +35,6 @@ __all__ = [
     "ArchHyperEncoding",
     "encode_arch_hyper",
     "encode_batch",
-    "operator_vocabulary",
     "HyperParameters",
     "HyperSpace",
     "PruningConfig",

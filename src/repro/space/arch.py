@@ -122,9 +122,6 @@ class Architecture:
     def has_temporal_operator(self) -> bool:
         return any(edge.op in T_OPERATORS for edge in self.edges)
 
-    def incoming_edges(self, node: int) -> list[Edge]:
-        return [edge for edge in self.edges if edge.target == node]
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

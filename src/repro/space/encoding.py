@@ -49,16 +49,6 @@ class ArchHyperEncoding:
     def size(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def num_real_nodes(self) -> int:
-        return int(self.mask.sum())
-
-
-def operator_vocabulary() -> tuple[str, ...]:
-    """The operator vocabulary used for one-hot node features."""
-    return CANDIDATE_OPERATORS
-
-
 def encode_arch_hyper(
     arch_hyper: ArchHyper,
     space: HyperSpace | None = None,

@@ -75,11 +75,6 @@ class ProxyConfig:
                 f"got {self.fidelity_epochs}",
             )
 
-    @property
-    def is_partial(self) -> bool:
-        """Whether this config measures at a reduced (sub-full) fidelity."""
-        return self.fidelity_epochs is not None and self.fidelity_epochs < self.epochs
-
     def train_config(self, epochs: int | None = None) -> TrainConfig:
         """Materialize the proxy's training configuration.
 

@@ -1,5 +1,5 @@
 """Shared utilities: seeding and validation helpers."""
 
-from .seeding import derive_rng, spawn_seeds
+from .seeding import derive_rng
 
-__all__ = ["derive_rng", "spawn_seeds"]
+__all__ = ["derive_rng"]

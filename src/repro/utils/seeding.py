@@ -26,12 +26,6 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(material))
 
 
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Produce ``count`` distinct child seeds from a root seed."""
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
-
-
 def _stable_string_hash(text: str) -> int:
     value = 2166136261
     for byte in text.encode("utf-8"):

@@ -54,9 +54,6 @@ class TestElementwise:
     def test_relu(self):
         check_gradients(ad.relu, [np.abs(_rand(5)) + 0.1])
 
-    def test_leaky_relu(self):
-        check_gradients(lambda a: ad.leaky_relu(a, 0.1), [np.abs(_rand(5)) + 0.1])
-
     def test_gelu(self):
         check_gradients(ad.gelu, [_rand(4, 3)])
 

@@ -12,11 +12,10 @@ from repro.comparator import (
     PretrainHistory,
     TAHC,
     TaskSampleSet,
-    all_ordered_pairs,
     curriculum_schedule,
     dynamic_pairs,
-    evaluate_comparator,
     make_label,
+    ordered_pair_indices,
     pretrain_tahc,
 )
 from repro.metrics import pairwise_accuracy
@@ -24,6 +23,20 @@ from repro.space import CANDIDATE_OPERATORS, JointSearchSpace, encode_batch
 
 RNG = np.random.default_rng(0)
 SPACE = JointSearchSpace()
+
+
+def _pairwise_accuracy(model, sample_set):
+    """Share of ordered pairs whose comparator verdict matches the scores."""
+    index_a, index_b = ordered_pair_indices(len(sample_set.scores))
+    labels = sample_set.scores[index_a] <= sample_set.scores[index_b]
+    with no_grad():
+        embeddings = model.embed(sample_set.ensure_encodings())
+        logits = model.score_pairs(
+            model.encode_task(sample_set.preliminary),
+            embeddings[index_a],
+            embeddings[index_b],
+        )
+    return float(((logits.numpy() >= 0) == labels).mean())
 
 
 def _sample_encodings(count, seed=0):
@@ -171,9 +184,10 @@ class TestPairing:
         with pytest.raises(ValueError):
             dynamic_pairs(np.array([1.0]), np.random.default_rng(0), 5)
 
-    def test_all_ordered_pairs_count(self):
-        pairs = all_ordered_pairs(np.arange(4, dtype=float))
-        assert len(pairs) == 12
+    def test_ordered_pair_indices_count(self):
+        index_a, index_b = ordered_pair_indices(4)
+        assert len(index_a) == len(index_b) == 12
+        assert not (index_a == index_b).any()
 
 
 class TestCurriculum:
@@ -227,13 +241,13 @@ class TestPretraining:
         sets = self._synthetic_sample_sets()
         model = TAHC(embed_dim=16, gin_layers=2, hidden_dim=16,
                      preliminary_dim=8, task_embed_dim=8, seed=0)
-        before = np.mean([evaluate_comparator(model, s) for s in sets])
+        before = np.mean([_pairwise_accuracy(model, s) for s in sets])
         config = PretrainConfig(
             shared_samples=5, random_samples=5, epochs=25, pairs_per_task=24,
             lr=5e-3, patience=25,
         )
         history = pretrain_tahc(model, sets, config)
-        after = np.mean([evaluate_comparator(model, s) for s in sets])
+        after = np.mean([_pairwise_accuracy(model, s) for s in sets])
         assert isinstance(history, PretrainHistory)
         assert history.deltas[0] == 0  # curriculum starts shared-only
         assert after > before

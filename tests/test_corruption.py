@@ -204,6 +204,27 @@ class TestImputeMissing:
         with pytest.raises(ValueError):
             impute_missing(_values(), policy="cubic")
 
+    def test_pipeline_survives_outages(self):
+        """A forecaster must stay finite when fed outage-corrupted data."""
+        from repro.core import build_forecaster
+        from repro.space import HyperSpace, JointSearchSpace
+
+        rng = np.random.default_rng(0)
+        result = inject_block_missing(
+            np.abs(RNG.normal(10, 2, size=(4, 80, 1))), rng, rate=0.4, block_length=6
+        )
+        values = impute_missing(result.values, result.mask).astype(np.float32)
+        data = CTSData(
+            "corrupted", values, np.ones((4, 4), np.float32), "test", mask=result.mask
+        )
+        space = JointSearchSpace(
+            hyper_space=HyperSpace(num_blocks=(1,), num_nodes=(3,), hidden_dims=(8,),
+                                   output_dims=(8,), output_modes=(0,), dropout=(0,))
+        )
+        model = build_forecaster(space.sample(rng), data, horizon=3)
+        out = model(values.transpose(1, 0, 2)[None, :6])
+        assert np.isfinite(out.numpy()).all()
+
 
 class TestImputeNonFinite:
     def test_clean_array_is_returned_bit_identical(self):

@@ -18,7 +18,6 @@ from repro.data import (
     random_sensor_positions,
     split_windows,
     subsample_adjacency,
-    symmetric_normalized_laplacian_support,
     transition_matrix,
 )
 
@@ -41,12 +40,6 @@ class TestGraph:
         rng = np.random.default_rng(1)
         adj = gaussian_kernel_adjacency(random_sensor_positions(8, rng))
         np.testing.assert_allclose(transition_matrix(adj).sum(axis=1), 1.0, rtol=1e-5)
-
-    def test_symmetric_support_is_symmetric(self):
-        rng = np.random.default_rng(1)
-        adj = gaussian_kernel_adjacency(random_sensor_positions(8, rng))
-        sup = symmetric_normalized_laplacian_support(adj)
-        np.testing.assert_allclose(sup, sup.T, rtol=1e-5)
 
     def test_subsample_preserves_weights(self):
         adj = np.arange(16, dtype=np.float32).reshape(4, 4)

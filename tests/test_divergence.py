@@ -11,14 +11,10 @@ from hypothesis import strategies as st
 from repro import autodiff as ad
 from repro.autodiff import Tensor
 from repro.comparator import (
-    ScoredArchHyper,
-    all_ordered_pairs,
-    comparable_pair_indices,
     diverged_mask,
     dynamic_pairs,
     has_comparable_pair,
     make_label,
-    ordered_pair_indices,
     pair_index_arrays,
 )
 from repro.core.health import DivergenceError
@@ -257,34 +253,6 @@ class TestDivergenceAwarePairing:
                 j += 1
             assert (pair.index_a, pair.index_b) == (i, j)
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-    def test_comparable_pair_indices_filters_only_diverged_pairs(self):
-        scores = np.array([0.3, SENTINEL_SCORE, 0.1, SENTINEL_SCORE])
-        index_a, index_b = comparable_pair_indices(scores)
-        full_a, full_b = ordered_pair_indices(len(scores))
-        assert len(index_a) == len(full_a) - 2  # (1,3) and (3,1) dropped
-        for i, j in zip(index_a, index_b):
-            assert not (is_sentinel_score(scores[i]) and is_sentinel_score(scores[j]))
-
-    def test_comparable_pair_indices_clean_pool_uses_template(self):
-        scores = np.array([0.3, 0.2, 0.1])
-        index_a, index_b = comparable_pair_indices(scores)
-        full_a, full_b = ordered_pair_indices(3)
-        assert index_a is full_a and index_b is full_b
-
-    def test_all_ordered_pairs_excludes_double_sentinels(self):
-        scores = np.array([0.5, SENTINEL_SCORE, SENTINEL_SCORE])
-        pairs = all_ordered_pairs(scores)
-        assert len(pairs) == 4  # 6 ordered pairs minus the 2 sentinel-only
-        assert all(np.isfinite(p.label) for p in pairs)
-
-    def test_scored_arch_hyper_accepts_sentinel_rejects_nan(self):
-        (ah,) = _candidates(1)
-        ScoredArchHyper(ah, SENTINEL_SCORE)  # finite: allowed
-        with pytest.raises(ValueError):
-            ScoredArchHyper(ah, float("nan"))
-        with pytest.raises(ValueError):
-            ScoredArchHyper(ah, float("inf"))
 
 
 class TestSearchLoops:

@@ -164,11 +164,6 @@ class TestConfigValidation:
         # Existing `except ValueError` call sites keep working.
         assert issubclass(ConfigError, ValueError)
 
-    def test_full_fidelity_config_is_not_partial(self):
-        assert not ProxyConfig(epochs=3, fidelity_epochs=3).is_partial
-        assert ProxyConfig(epochs=3, fidelity_epochs=1).is_partial
-        assert not ProxyConfig(epochs=3).is_partial
-
 
 # ----------------------------------------------------------------------
 # Fingerprint inertness: the fidelity axis is score material only when
@@ -456,15 +451,6 @@ class TestPairingEligibility:
         assert not has_comparable_pair(scores, eligible)
         with pytest.raises(ValueError, match="no comparable pair"):
             dynamic_pairs(scores, np.random.default_rng(0), 8, eligible=eligible)
-
-    def test_comparable_pair_indices_filters_mask(self):
-        from repro.comparator.pairing import comparable_pair_indices
-
-        scores = np.array([0.5, 0.3, 0.9, 0.7])
-        eligible = np.array([True, True, False, True])
-        index_a, index_b = comparable_pair_indices(scores, eligible)
-        assert len(index_a) > 0
-        assert 2 not in set(index_a) | set(index_b)
 
 
 # ----------------------------------------------------------------------

@@ -3,53 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import build_forecaster, evaluate_by_horizon, train_forecaster, TrainConfig
-from repro.data import CTSData, get_dataset
+from repro.core import build_forecaster, train_forecaster, TrainConfig
+from repro.data import get_dataset
 from repro.experiments import SMOKE, pretrain_variant, run_zero_shot, target_task
 from repro.space import JointSearchSpace, HyperSpace
 from repro.tasks import Task
-
-
-def _sine_task(t=200, n=4, seed=0):
-    rng = np.random.default_rng(seed)
-    steps = np.arange(t)
-    values = np.stack(
-        [np.sin(2 * np.pi * steps / 16 + k) + 0.05 * rng.standard_normal(t) for k in range(n)]
-    )
-    return Task(
-        CTSData("sine", values[..., None].astype(np.float32), np.ones((n, n), np.float32), "test"),
-        p=8, q=4, max_train_windows=120,
-    )
 
 
 TINY_SPACE = JointSearchSpace(
     hyper_space=HyperSpace(num_blocks=(1,), num_nodes=(3,), hidden_dims=(8,),
                            output_dims=(8,), output_modes=(0, 1), dropout=(0,))
 )
-
-
-class TestHorizonEvaluation:
-    def test_per_horizon_scores(self):
-        task = _sine_task()
-        model = build_forecaster(
-            TINY_SPACE.sample(np.random.default_rng(0)), task.data, task.horizon
-        )
-        train_forecaster(model, task.prepared.train, task.prepared.val,
-                         TrainConfig(epochs=3, batch_size=32, patience=3))
-        by_horizon = evaluate_by_horizon(model, task.prepared.test)
-        assert len(by_horizon) == task.horizon
-        assert all(np.isfinite(s.mae) for s in by_horizon)
-
-    def test_horizon_error_profile_plausible(self):
-        """Later steps are at least roughly as hard as the first step."""
-        task = _sine_task()
-        model = build_forecaster(
-            TINY_SPACE.sample(np.random.default_rng(1)), task.data, task.horizon
-        )
-        train_forecaster(model, task.prepared.train, task.prepared.val,
-                         TrainConfig(epochs=4, batch_size=32, patience=4))
-        by_horizon = evaluate_by_horizon(model, task.prepared.test)
-        assert by_horizon[-1].mae >= by_horizon[0].mae * 0.5
 
 
 class TestDeterminism:

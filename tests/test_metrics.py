@@ -10,11 +10,8 @@ from repro.metrics import (
     ForecastScores,
     corr,
     evaluate_forecast,
-    kendall_tau,
     mae,
     mape,
-    masked_mae,
-    masked_rmse,
     pairwise_accuracy,
     rmse,
     rrse,
@@ -61,25 +58,6 @@ class TestPointMetrics:
     def test_corr_anti(self):
         targ = np.random.default_rng(0).normal(size=(40, 2))
         assert corr(-targ, targ) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_masked_mae_excludes_null_positions(self):
-        pred = np.array([1.0, 5.0, 2.0])
-        targ = np.array([2.0, 0.0, 2.0])  # middle reading missing
-        assert masked_mae(pred, targ) == pytest.approx(0.5)
-
-    def test_masked_mae_all_null_returns_zero(self):
-        assert masked_mae(np.ones(3), np.zeros(3)) == 0.0
-
-    def test_masked_rmse_matches_unmasked_when_no_nulls(self):
-        rng = np.random.default_rng(0)
-        pred = rng.normal(5, 1, size=20)
-        targ = rng.normal(5, 1, size=20)
-        assert masked_rmse(pred, targ) == pytest.approx(rmse(pred, targ))
-
-    def test_masked_rmse_custom_null_value(self):
-        pred = np.array([1.0, 9.0])
-        targ = np.array([2.0, -1.0])
-        assert masked_rmse(pred, targ, null_value=-1.0) == pytest.approx(1.0)
 
     def test_evaluate_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -132,13 +110,6 @@ class TestRankMetrics:
     def test_spearman_rejects_short_input(self):
         with pytest.raises(ValueError):
             spearman(np.array([1.0]), np.array([2.0]))
-
-    def test_kendall_matches_scipy(self):
-        from scipy.stats import kendalltau
-
-        rng = np.random.default_rng(5)
-        a, b = rng.normal(size=25), rng.normal(size=25)
-        assert kendall_tau(a, b) == pytest.approx(kendalltau(a, b).statistic, abs=1e-9)
 
     @given(
         hnp.arrays(

@@ -19,7 +19,6 @@ from repro.nn import (
     Parameter,
     PointwiseConv2d,
     ProbSparseAttention,
-    Sequential,
 )
 
 RNG = np.random.default_rng(11)
@@ -48,7 +47,7 @@ class TestModuleSystem:
         assert layer.num_parameters() == 4 * 3 + 3
 
     def test_train_eval_propagates(self):
-        seq = Sequential(Linear(2, 2), Dropout(0.5))
+        seq = ModuleList([Linear(2, 2), Dropout(0.5)])
         seq.eval()
         assert all(not m.training for m in seq.modules())
         seq.train()

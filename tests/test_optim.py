@@ -1,11 +1,11 @@
-"""Tests for optimizers and schedulers."""
+"""Tests for the optimizer and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
 from repro.nn import Linear, Parameter, mse_loss
-from repro.optim import Adam, CosineAnnealingLR, SGD, StepLR, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 
 
 def _quadratic_step(optimizer, param):
@@ -13,32 +13,6 @@ def _quadratic_step(optimizer, param):
     optimizer.zero_grad()
     (param * param).sum().backward()
     optimizer.step()
-
-
-class TestSGD:
-    def test_descends_quadratic(self):
-        w = Parameter(np.array([4.0, -2.0]))
-        opt = SGD([w], lr=0.1)
-        for _ in range(50):
-            _quadratic_step(opt, w)
-        assert np.abs(w.data).max() < 1e-3
-
-    def test_momentum_accelerates(self):
-        w_plain = Parameter(np.array([10.0]))
-        w_momentum = Parameter(np.array([10.0]))
-        plain, momentum = SGD([w_plain], lr=0.01), SGD([w_momentum], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            _quadratic_step(plain, w_plain)
-            _quadratic_step(momentum, w_momentum)
-        assert abs(w_momentum.data[0]) < abs(w_plain.data[0])
-
-    def test_weight_decay_shrinks_weights(self):
-        w = Parameter(np.array([1.0]))
-        opt = SGD([w], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (w * 0.0).sum().backward()
-        opt.step()
-        assert w.data[0] < 1.0
 
 
 class TestAdam:
@@ -92,26 +66,3 @@ class TestClipGradNorm:
         w.grad = np.array([0.1, 0.1])
         clip_grad_norm([w], max_norm=5.0)
         np.testing.assert_allclose(w.grad, [0.1, 0.1])
-
-
-class TestSchedulers:
-    def test_step_lr_halves(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_reaches_min(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, total_epochs=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_step_lr_rejects_bad_step(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)

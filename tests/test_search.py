@@ -16,7 +16,6 @@ from repro.search import (
     ZeroShotSearch,
     grid_search_hyper,
     random_search,
-    round_robin_ranking,
     round_robin_top_k,
     win_counts,
 )
@@ -51,7 +50,7 @@ class TestRoundRobin:
 
     def test_full_ranking(self):
         matrix = np.array([[0, 0], [1, 0]])
-        assert round_robin_ranking(matrix) == [1, 0]
+        assert round_robin_top_k(matrix, 2) == [1, 0]
 
     def test_handles_nontransitive_cycles(self):
         """A beats B beats C beats A: all tie at one win; selection is stable."""
@@ -73,7 +72,7 @@ class TestRoundRobin:
         rng = np.random.default_rng(seed)
         scores = rng.permutation(n).astype(float)  # unique scores
         wins = (scores[:, None] < scores[None, :]).astype(float)
-        ranking = round_robin_ranking(wins)
+        ranking = round_robin_top_k(wins, n)
         assert [scores[i] for i in ranking] == sorted(scores)
 
 

@@ -233,8 +233,8 @@ class TestEncoding:
     def test_every_sample_encodable(self, seed):
         ah = JointSearchSpace().sample(np.random.default_rng(seed))
         enc = encode_arch_hyper(ah)
-        assert enc.num_real_nodes == ah.arch.num_edges + 1
-        assert enc.num_real_nodes <= MAX_ENCODING_NODES
+        assert int(enc.mask.sum()) == ah.arch.num_edges + 1
+        assert int(enc.mask.sum()) <= MAX_ENCODING_NODES
 
 
 class TestJointSearchSpace:

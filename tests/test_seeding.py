@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.seeding import derive_rng, spawn_seeds
+from repro.utils.seeding import derive_rng
 
 
 class TestDeriveRng:
@@ -37,16 +37,3 @@ class TestDeriveRng:
         b = derive_rng(seed, key).integers(0, 1000, 3)
         np.testing.assert_array_equal(a, b)
 
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        seeds = spawn_seeds(7, 10)
-        assert len(seeds) == 10
-        assert seeds == spawn_seeds(7, 10)
-
-    def test_seeds_are_distinct(self):
-        seeds = spawn_seeds(0, 50)
-        assert len(set(seeds)) == 50
-
-    def test_all_nonnegative_ints(self):
-        assert all(isinstance(s, int) and s >= 0 for s in spawn_seeds(3, 5))

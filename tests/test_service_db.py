@@ -273,12 +273,6 @@ class TestDedupAndResults:
         assert db.get_result("fp-r") == body
         assert db.get_result("fp-missing") is None
 
-    def test_find_job_by_fingerprint(self, tmp_path):
-        db = _db(tmp_path)
-        job, _ = _submit(db, fingerprint="fp-42")
-        assert db.find_job("fp-42")["id"] == job["id"]
-        assert db.find_job("fp-nope") is None
-
     def test_counts_and_listing(self, tmp_path):
         db = _db(tmp_path)
         _submit(db, fingerprint="fp-1")
@@ -289,10 +283,3 @@ class TestDedupAndResults:
         assert len(db.list_jobs()) == 2
         assert len(db.list_jobs("running")) == 1
 
-    def test_task_records(self, tmp_path):
-        db = _db(tmp_path)
-        db.record_task("tfp", "toy", {"p": 6, "q": 3})
-        db.record_task("tfp", "toy", {"p": 6, "q": 3})  # idempotent
-        tasks = db.list_tasks()
-        assert len(tasks) == 1
-        assert tasks[0]["spec"] == {"p": 6, "q": 3}
