@@ -44,7 +44,6 @@ def _settings(args: argparse.Namespace) -> Settings:
         eval_cache=False if flags.get("no_eval_cache") else None,
         service_db=flags.get("db"),
         fidelity_schedule=flags.get("fidelity_schedule"),
-        fidelity_label_policy=flags.get("fidelity_label_policy"),
         fidelity_warm_dir=flags.get("warm_dir"),
         metrics_interval=flags.get("metrics_interval"),
         profile=True if flags.get("profile") else None,
@@ -196,7 +195,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         checkpoint_dir=checkpoint_dir,
         resume=args.resume,
         fidelity_schedule=args.fidelity_schedule,
-        label_policy=args.fidelity_label_policy,
         warm_dir=args.warm_dir,
     )
     setting = scale.setting(args.setting)
@@ -252,7 +250,6 @@ def _cmd_autocts(args: argparse.Namespace) -> int:
         seed=args.seed,
         proxy=ProxyConfig(epochs=scale.proxy_epochs, batch_size=scale.batch_size),
         fidelity_schedule=args.fidelity_schedule,
-        fidelity_label_policy=args.fidelity_label_policy,
         warm_dir=args.warm_dir,
     )
     print(
@@ -420,15 +417,6 @@ def _add_fidelity_args(parser: argparse.ArgumentParser) -> None:
         "'eta:rungs:min-epochs', e.g. '3:3:1' (default: "
         "$REPRO_FIDELITY_SCHEDULE or off — flat full-fidelity evaluation, "
         "bitwise-identical to not passing the flag)",
-    )
-    parser.add_argument(
-        "--fidelity-label-policy",
-        default=None,
-        choices=("survivors", "tagged"),
-        help="which fidelity-tagged scores become comparator labels: "
-        "'survivors' (default) uses only full-fidelity measurements, "
-        "'tagged' uses every rung's scores "
-        "(default: $REPRO_FIDELITY_LABEL_POLICY or survivors)",
     )
     parser.add_argument(
         "--warm-dir",

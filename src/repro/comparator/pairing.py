@@ -47,10 +47,10 @@ def _eligibility(
 
     ``None`` (the default everywhere) means every candidate is eligible and
     — critically — keeps the healthy code path byte-identical: no mask is
-    materialized and no extra RNG is ever drawn.  A mask arises from the
-    fidelity label policy (``docs/fidelity.md``): candidates culled at a
-    sub-full rung carry low-fidelity scores that the ``survivors`` policy
-    excludes from comparator labels.
+    materialized and no extra RNG is ever drawn.  A mask arises from a
+    fidelity ladder (``docs/fidelity.md``): candidates culled at a sub-full
+    rung carry low-fidelity scores, which are excluded from comparator
+    labels.
     """
     if eligible is None:
         return None
@@ -71,7 +71,7 @@ def has_comparable_pair(
     A pair is comparable unless *both* members diverged — two sentinel
     scores carry no ordering information, so a pool needs at least two
     candidates and at least one non-diverged one.  With an ``eligible``
-    mask, only eligible candidates may pair at all (fidelity label policy),
+    mask, only eligible candidates may pair at all (full-fidelity labels),
     so the pool additionally needs two eligible members, one of them
     non-diverged.
     """
@@ -99,7 +99,7 @@ def dynamic_pairs(
     ``i == j`` self-pairs are excluded.  Pairs of *two diverged* (sentinel)
     candidates are rejection-resampled away — their tied worst-case scores
     would yield a meaningless label that poisons comparator training.  Pairs
-    touching an in*eligible* candidate (fidelity label policy; ``eligible``
+    touching an in*eligible* candidate (culled below full fidelity; ``eligible``
     defaults to everyone) are resampled the same way.  When the pool has no
     diverged scores and no mask, the RNG stream is consumed exactly as it
     always was, so healthy runs stay bitwise-identical.

@@ -52,12 +52,10 @@ class TaskSampleSet:
     scores: np.ndarray
     shared_count: int
     encodings: Encodings | None = None
-    # Fidelity tags from a successive-halving collect (docs/fidelity.md):
-    # the epoch budget each score was measured at, and which candidates are
-    # eligible to appear in comparator labels under the chosen label policy.
-    # Both stay None on the flat single-fidelity path (and in pre-fidelity
-    # pickles), which downstream code treats as "everything full fidelity".
-    fidelities: np.ndarray | None = None
+    # Which candidates may appear in comparator labels: those a
+    # successive-halving collect (docs/fidelity.md) measured at full
+    # fidelity.  None when every score is full fidelity (and in pre-fidelity
+    # pickles).
     label_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -65,8 +63,6 @@ class TaskSampleSet:
             raise ValueError("arch_hypers and scores must align")
         if not 0 <= self.shared_count <= len(self.arch_hypers):
             raise ValueError("shared_count out of range")
-        if self.fidelities is not None and len(self.fidelities) != len(self.scores):
-            raise ValueError("fidelities and scores must align")
         if self.label_mask is not None and len(self.label_mask) != len(self.scores):
             raise ValueError("label_mask and scores must align")
 
@@ -112,7 +108,6 @@ def collect_task_samples(
     evaluator: "ProxyEvaluator | None" = None,
     checkpoint: "Checkpoint | None" = None,
     fidelity_schedule=None,
-    label_policy: str | None = None,
     warm_dir: str | None = None,
 ) -> list[TaskSampleSet]:
     """Measure shared + random arch-hypers on every task (Algorithm 1, l.1–7).
@@ -134,14 +129,13 @@ def collect_task_samples(
 
     ``fidelity_schedule`` (a :class:`~repro.runtime.FidelitySchedule`, an
     ``eta:rungs:min-epochs`` spec, or ``None`` → :class:`~repro.settings.Settings`)
-    runs the collection as a successive-halving ladder instead of a flat
-    full-fidelity sweep; ``label_policy`` decides how sub-full-fidelity
-    scores may label (``docs/fidelity.md``).  With no schedule anywhere this
-    function is bitwise-identical to the historical pipeline.
+    runs the collection as a successive-halving ladder; with no schedule
+    anywhere it is the one-rung, full-fidelity sweep.  Only full-fidelity
+    scores label: culled candidates are masked out of pairing
+    (``docs/fidelity.md``).
     """
     from ..embedding.task_encoder import preliminary_task_embedding
     from ..runtime import EvalProgress, get_default_evaluator
-    from ..settings import Settings
 
     config = config if config is not None else PretrainConfig()
     if not tasks:
@@ -154,48 +148,22 @@ def collect_task_samples(
     evaluator = evaluator or get_default_evaluator()
     progress = EvalProgress(checkpoint) if checkpoint is not None else None
     jobs = [(ah, task) for task, pool in zip(tasks, pools) for ah in pool]
-    settings = Settings.from_env().override(
-        fidelity_schedule=fidelity_schedule, fidelity_label_policy=label_policy
-    )
-    schedule = settings.fidelity_schedule
     with span("collect", tasks=len(tasks), candidates=len(jobs)):
-        flat_fidelities: list[int] | None = None
-        flat_mask: list[bool] | None = None
-        if schedule is None:
-            flat_scores = evaluator.evaluate_pairs(
-                jobs, config.proxy, progress=progress
-            )
-        else:
-            policy = settings.fidelity_label_policy
-            result = evaluator.evaluate_rungs(
-                jobs,
-                config.proxy,
-                schedule=schedule,
-                progress=progress,
-                warm_dir=warm_dir,
-            )
-            flat_scores = result.scores
-            flat_fidelities = result.fidelities
-            flat_mask = (
-                result.full_fidelity_mask()
-                if policy == "survivors"
-                else [True] * len(flat_scores)
-            )
-
+        result = evaluator.evaluate_rungs(
+            jobs,
+            config.proxy,
+            schedule=fidelity_schedule,
+            progress=progress,
+            warm_dir=warm_dir,
+        )
+        mask = result.label_mask()
         sample_sets: list[TaskSampleSet] = []
         cursor = 0
         for task, candidates in zip(tasks, pools):
             window = slice(cursor, cursor + len(candidates))
-            scores = np.array(flat_scores[window], dtype=np.float64)
-            fidelities = (
-                np.array(flat_fidelities[window], dtype=np.int64)
-                if flat_fidelities is not None
-                else None
-            )
+            scores = np.array(result.scores[window], dtype=np.float64)
             label_mask = (
-                np.array(flat_mask[window], dtype=bool)
-                if flat_mask is not None
-                else None
+                None if mask is None else np.array(mask[window], dtype=bool)
             )
             cursor += len(candidates)
             with span("task-embedding", task=task.name):
@@ -209,7 +177,6 @@ def collect_task_samples(
                     arch_hypers=candidates,
                     scores=scores,
                     shared_count=len(shared),
-                    fidelities=fidelities,
                     label_mask=label_mask,
                 )
             )
@@ -261,7 +228,7 @@ def _pretrain_checkpoint_meta(
     }
     # Fidelity label masks change which pairs may form, so they are part of
     # the run identity — but the key is added only when a mask exists, so
-    # every flat-collect checkpoint meta stays byte-identical to before.
+    # every full-fidelity checkpoint meta stays byte-identical to before.
     masks = [
         None if s.label_mask is None else [bool(b) for b in s.label_mask]
         for s in sample_sets
@@ -356,10 +323,10 @@ def pretrain_tahc(
                     )
                     if not has_comparable_pair(pool_scores, pool_eligible):
                         # Every candidate in this curriculum slice diverged (or
-                        # is label-ineligible under the fidelity policy): no
-                        # pair carries ordering information, so skip the task
-                        # this epoch (the check draws no RNG, keeping healthy
-                        # runs bitwise-same).
+                        # was culled below full fidelity): no pair carries
+                        # ordering information, so skip the task this epoch
+                        # (the check draws no RNG, keeping healthy runs
+                        # bitwise-same).
                         continue
                     pairs = dynamic_pairs(
                         pool_scores, rng, config.pairs_per_task, pool_eligible

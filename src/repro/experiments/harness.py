@@ -196,7 +196,6 @@ def pretrain_variant(
     checkpoint_dir: Path | None = None,
     resume: bool = False,
     fidelity_schedule=None,
-    label_policy: str | None = None,
     warm_dir: Path | str | None = None,
 ) -> PretrainedArtifacts:
     """Pre-train (or load from cache) a T-AHC variant at the given scale.
@@ -215,16 +214,14 @@ def pretrain_variant(
     run); ``resume=False`` clears them and starts fresh.  Checkpoints are
     removed once the run completes and its artifact is cached.
 
-    ``fidelity_schedule``/``label_policy``/``warm_dir`` run the sample
-    collection as a successive-halving ladder (``docs/fidelity.md``); with
-    no schedule (and ``$REPRO_FIDELITY_SCHEDULE`` unset) the run — and its
-    artifact cache key — is identical to the historical pipeline.
+    ``fidelity_schedule``/``warm_dir`` run the sample collection as a
+    successive-halving ladder (``docs/fidelity.md``); with no schedule (and
+    ``$REPRO_FIDELITY_SCHEDULE`` unset) it is the one-rung flat sweep, under
+    the historical artifact cache key.
     """
     if variant not in VARIANTS:
         raise KeyError(f"unknown variant {variant!r}; known: {VARIANTS}")
-    settings = Settings.from_env().override(
-        fidelity_schedule=fidelity_schedule, fidelity_label_policy=label_policy
-    )
+    settings = Settings.from_env().override(fidelity_schedule=fidelity_schedule)
     schedule = settings.fidelity_schedule
     if cache_dir is _SETTINGS_CACHE_DIR:
         cache_dir = settings.cache_dir
@@ -243,9 +240,10 @@ def pretrain_variant(
             # A fidelity ladder produces different labels, so it must not
             # share cache files with flat runs (and vice versa); the key
             # suffix appears only when a schedule is active, keeping flat
-            # cache paths byte-identical to before.
-            policy = settings.fidelity_label_policy
-            fingerprint += f"-fid{schedule.spec().replace(':', '_')}-{policy}"
+            # cache paths byte-identical to before.  "survivors" names the
+            # label rule (only full-fidelity scores label) and keeps the
+            # scheduled cache paths of earlier builds.
+            fingerprint += f"-fid{schedule.spec().replace(':', '_')}-survivors"
         name = f"tahc-{scale.name}-{fingerprint}-{variant}-seed{seed}.pkl"
         artifact_cache = Checkpoint(Path(cache_dir) / name, kind="tahc-artifacts")
         cached = artifact_cache.load()
@@ -287,7 +285,6 @@ def pretrain_variant(
         evaluator=evaluator,
         checkpoint=collect_ckpt,
         fidelity_schedule=schedule,
-        label_policy=label_policy,
         warm_dir=str(warm_dir) if warm_dir is not None else None,
     )
     model = _build_variant_model(scale, variant, seed)

@@ -34,10 +34,10 @@ from .checkpoint import (
     ProgressVersionError,
 )
 from .fidelity import (
+    FLAT_SCHEDULE,
     FidelityResult,
     FidelitySchedule,
     FidelityScheduler,
-    LABEL_POLICIES,
     RungReport,
     parse_fidelity_schedule,
 )
@@ -82,7 +82,7 @@ __all__ = [
     "FidelityResult",
     "FidelitySchedule",
     "FidelityScheduler",
-    "LABEL_POLICIES",
+    "FLAT_SCHEDULE",
     "ProgressVersionError",
     "ProxyEvaluator",
     "RetryPolicy",

@@ -458,26 +458,20 @@ class ProxyEvaluator:
         ``schedule`` is a :class:`~repro.runtime.fidelity.FidelitySchedule`,
         an ``eta:rungs:min-epochs`` spec string, or ``None`` to take
         :attr:`Settings.fidelity_schedule <repro.settings.Settings>` (and
-        likewise ``warm_dir``).  With no schedule anywhere this is
-        exactly :meth:`evaluate_pairs` (every candidate at full fidelity) —
-        the fidelity machinery is inert until a schedule is requested.
+        likewise ``warm_dir``).  With no schedule anywhere the ladder is
+        :data:`~repro.runtime.fidelity.FLAT_SCHEDULE`: one full-fidelity rung
+        over every pair, the same evaluations as :meth:`evaluate_pairs`.
         Returns a :class:`~repro.runtime.fidelity.FidelityResult`.
         """
-        from .fidelity import FidelityResult, FidelityScheduler
+        from .fidelity import FLAT_SCHEDULE, FidelityScheduler
 
-        config = config if config is not None else ProxyConfig()
         settings = Settings.from_env().override(
             fidelity_schedule=schedule, fidelity_warm_dir=warm_dir
         )
-        schedule = settings.fidelity_schedule
-        if schedule is None:
-            scores = self.evaluate_pairs(pairs, config, progress)
-            return FidelityResult(
-                scores=scores,
-                fidelities=[config.epochs] * len(scores),
-                full_epochs=config.epochs,
-            )
-        scheduler = FidelityScheduler(schedule, warm_dir=settings.fidelity_warm_dir)
+        scheduler = FidelityScheduler(
+            settings.fidelity_schedule or FLAT_SCHEDULE,
+            warm_dir=settings.fidelity_warm_dir,
+        )
         return scheduler.evaluate_pairs(self, pairs, config, progress=progress)
 
     # ------------------------------------------------------------------

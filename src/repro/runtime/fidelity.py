@@ -1,14 +1,16 @@
 """Successive-halving fidelity schedules over proxy evaluations.
 
-ROADMAP item 4: most candidates are eliminated early, yet the flat pipeline
-pays the full ``k``-epoch proxy (`ProxyConfig.epochs`) for every one.  A
+ROADMAP item 4: most candidates are eliminated early, yet a flat sweep pays
+the full ``k``-epoch proxy (`ProxyConfig.epochs`) for every one.  A
 :class:`FidelitySchedule` describes a successive-halving ladder — score the
 whole pool at a small epoch budget, keep the best ``1/eta`` fraction, promote
 them to the next (``eta``-times larger) budget, repeat until the final rung
 runs at full fidelity.  The :class:`FidelityScheduler` executes that ladder
 through an existing :class:`~repro.runtime.evaluator.ProxyEvaluator`, so each
 rung inherits the serial/pool backends, the eval cache, retry/timeout/
-sentinel semantics, and checkpointed resume unchanged.
+sentinel semantics, and checkpointed resume unchanged.  A flat campaign is
+the one-rung ladder (:data:`FLAT_SCHEDULE`): its only rung is the plain
+full-fidelity evaluation of every candidate.
 
 Determinism: rung composition is a pure function of the (deterministic)
 scores, promotions warm-resume bitwise-identically (see
@@ -37,21 +39,13 @@ from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
 from ..utils.validation import ConfigError, require, require_int_at_least
 
-# How sub-full-fidelity scores may be used as comparator labels:
-#   "survivors" (default) — only full-fidelity survivors label, exactly as a
-#       single-fidelity collect would; culled candidates' low-fidelity scores
-#       are tagged but excluded from pairing.
-#   "tagged" — every score labels, carrying its fidelity tag; cheaper labels,
-#       weaker guarantee (low-fidelity rankings are noisier).
-LABEL_POLICIES = ("survivors", "tagged")
-
 
 @dataclass(frozen=True)
 class FidelitySchedule:
     """A successive-halving ladder: ``eta``, rung count, smallest budget.
 
-    ``rungs=1`` degenerates to the flat full-fidelity pipeline (every
-    candidate trains the full budget, nothing is culled).
+    ``rungs=1`` is the flat full-fidelity sweep (every candidate trains
+    the full budget, nothing is culled).
     """
 
     eta: int = 3
@@ -89,6 +83,10 @@ class FidelitySchedule:
     def keep(self, n: int) -> int:
         """How many of ``n`` rung candidates are promoted (at least one)."""
         return max(1, math.ceil(n / self.eta))
+
+
+# The one-rung ladder: what every collect runs when no schedule is given.
+FLAT_SCHEDULE = FidelitySchedule(rungs=1)
 
 
 def parse_fidelity_schedule(spec: str) -> FidelitySchedule:
@@ -148,10 +146,14 @@ class FidelityResult:
         """Budget saved versus flat full-fidelity evaluation of every pair."""
         return max(0, self.full_epochs * len(self.scores) - self.epochs_spent)
 
-    def full_fidelity_mask(self) -> list[bool]:
-        """Which candidates were measured at full fidelity (label-eligible
-        under the default ``survivors`` policy)."""
-        return [fidelity >= self.full_epochs for fidelity in self.fidelities]
+    def label_mask(self) -> list[bool] | None:
+        """Which candidates may label: those measured at full fidelity.
+
+        ``None`` when every score is full fidelity (a flat sweep, or a
+        ladder that culled nobody), which pairing treats as "all eligible".
+        """
+        mask = [fidelity >= self.full_epochs for fidelity in self.fidelities]
+        return None if all(mask) else mask
 
 
 class FidelityScheduler:
@@ -163,7 +165,9 @@ class FidelityScheduler:
             warm continuation (every rung trains from scratch — still
             correct, just slower).  Folded into the per-rung
             :class:`~repro.tasks.proxy.ProxyConfig` as the score-inert
-            ``warm_dir`` field.
+            ``warm_dir`` field, and only when the ladder has more than one
+            rung: a flat sweep has nothing to promote, so it neither reads
+            nor writes snapshots.
     """
 
     def __init__(
@@ -188,9 +192,9 @@ class FidelityScheduler:
         culled at rung ``r`` keeps its rung-``r`` score and fidelity tag.
         """
         config = config if config is not None else ProxyConfig()
-        if self.warm_dir is not None and config.warm_dir is None:
-            config = replace(config, warm_dir=str(self.warm_dir))
         budgets = self.schedule.rung_epochs(config.epochs)
+        if self.warm_dir is not None and config.warm_dir is None and len(budgets) > 1:
+            config = replace(config, warm_dir=str(self.warm_dir))
         count = len(pairs)
         result = FidelityResult(
             scores=[0.0] * count,
@@ -207,9 +211,8 @@ class FidelityScheduler:
             rung_config = replace(
                 config,
                 # The final rung runs as plain full fidelity — its config,
-                # fingerprints, and cache keys are identical to a
-                # never-scheduled evaluation, so full-fidelity scores are
-                # shared between scheduled and flat campaigns.
+                # fingerprints, and cache keys are the flat sweep's, so
+                # full-fidelity scores are shared between every schedule.
                 fidelity_epochs=None if budget >= config.epochs else budget,
             )
             with span(

@@ -2,12 +2,6 @@
 
 from ..comparator.scoring import RankingEngine, RankingStats, sanitize_win_matrix
 from .autocts_plus import AutoCTSPlusConfig, AutoCTSPlusResult, AutoCTSPlusSearch
-from .baselines import (
-    SearchTrace,
-    comparator_rank_search,
-    grid_search_hyper,
-    random_search,
-)
 from .evolutionary import (
     CompareFn,
     EvolutionConfig,
@@ -21,10 +15,6 @@ __all__ = [
     "AutoCTSPlusConfig",
     "AutoCTSPlusResult",
     "AutoCTSPlusSearch",
-    "SearchTrace",
-    "comparator_rank_search",
-    "grid_search_hyper",
-    "random_search",
     "CompareFn",
     "RankingEngine",
     "RankingStats",

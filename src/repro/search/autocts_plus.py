@@ -65,9 +65,8 @@ class AutoCTSPlusConfig:
     seed: int = 0
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
     # Successive-halving proxy collection (see docs/fidelity.md).  ``None``
-    # keeps the flat, bitwise-identical single-rung path.
+    # takes $REPRO_FIDELITY_SCHEDULE, else the flat one-rung sweep.
     fidelity_schedule: str | None = None
-    fidelity_label_policy: str | None = None
     warm_dir: str | None = None
 
 
@@ -95,7 +94,7 @@ class AutoCTSPlusSearch:
         self.evaluator = evaluator
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         # Populated by collect_samples when a fidelity schedule culled some
-        # candidates early; None on the flat path (every score is eligible).
+        # candidates early; None when every score is full fidelity.
         self._label_eligible: np.ndarray | None = None
 
     def _checkpoint(self, stage: str, kind: str) -> "Checkpoint | None":
@@ -116,46 +115,29 @@ class AutoCTSPlusSearch:
         """Stage 1: measure random arch-hypers with the proxy on the task.
 
         With a ``fidelity_schedule`` configured, the pool runs through the
-        successive-halving rungs instead of a flat full-fidelity sweep; under
-        the default ``survivors`` label policy only full-fidelity scores are
-        eligible as comparator training labels (culled candidates keep their
-        last partial score, tagged via ``_label_eligible``).
+        successive-halving rungs instead of a flat full-fidelity sweep; only
+        full-fidelity scores are eligible as comparator training labels
+        (culled candidates keep their last partial score, masked out via
+        ``_label_eligible``).
         """
         from ..runtime import EvalProgress, get_default_evaluator
-        from ..settings import Settings
 
         rng = derive_rng(self.config.seed, "autocts+-collect")
         candidates = self.space.sample_batch(self.config.n_measured_samples, rng)
         evaluator = self.evaluator or get_default_evaluator()
         checkpoint = self._checkpoint("collect", "eval-progress")
         progress = EvalProgress(checkpoint) if checkpoint is not None else None
-        settings = Settings.from_env().override(
-            fidelity_schedule=self.config.fidelity_schedule,
-            fidelity_label_policy=self.config.fidelity_label_policy,
-        )
-        schedule = settings.fidelity_schedule
         with span("collect", task=task.name, candidates=len(candidates)):
-            if schedule is None:
-                scores = evaluator.evaluate_pairs(
-                    [(ah, task) for ah in candidates],
-                    self.config.proxy,
-                    progress=progress,
-                )
-                self._label_eligible = None
-            else:
-                result = evaluator.evaluate_rungs(
-                    [(ah, task) for ah in candidates],
-                    self.config.proxy,
-                    schedule=schedule,
-                    progress=progress,
-                    warm_dir=self.config.warm_dir,
-                )
-                scores = result.scores
-                self._label_eligible = (
-                    np.asarray(result.full_fidelity_mask(), dtype=bool)
-                    if settings.fidelity_label_policy == "survivors"
-                    else None
-                )
+            result = evaluator.evaluate_rungs(
+                [(ah, task) for ah in candidates],
+                self.config.proxy,
+                schedule=self.config.fidelity_schedule,
+                progress=progress,
+                warm_dir=self.config.warm_dir,
+            )
+        scores = result.scores
+        mask = result.label_mask()
+        self._label_eligible = None if mask is None else np.asarray(mask, dtype=bool)
         if not has_comparable_pair(np.asarray(scores), self._label_eligible):
             raise DivergenceError(
                 f"every measured candidate diverged on task {task.name!r}; "
@@ -201,9 +183,9 @@ class AutoCTSPlusSearch:
                 ).hexdigest(),
             }
             if eligible is not None:
-                # Only present under a fidelity label policy that masks some
-                # scores — keeps flat-path checkpoint metadata byte-identical
-                # while refusing to resume across policy changes.
+                # Only present when a fidelity schedule masked some scores —
+                # keeps full-fidelity checkpoint metadata byte-identical
+                # while refusing to resume across different masks.
                 checkpoint.meta["eligible_sha256"] = hashlib.sha256(
                     np.ascontiguousarray(eligible).tobytes()
                 ).hexdigest()

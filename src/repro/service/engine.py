@@ -41,7 +41,7 @@ import numpy as np
 
 from ..comparator.scoring import RankingEngine
 from ..obs import get_registry, span
-from ..runtime import Checkpoint, EvalProgress, ProxyEvaluator
+from ..runtime import FLAT_SCHEDULE, Checkpoint, EvalProgress, ProxyEvaluator
 from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.task import Task
@@ -294,7 +294,7 @@ class Engine:
         n_samples: int,
         seed: int = 0,
         progress: EvalProgress | None = None,
-    ) -> tuple[list[ArchHyper], list[float], list[int] | None]:
+    ) -> tuple[list[ArchHyper], list[float], list[int]]:
         """Measure ``n_samples`` sampled arch-hypers on ``task`` (proxy labels).
 
         The sample-collection primitive behind comparator pre-training,
@@ -303,29 +303,24 @@ class Engine:
         overrides), and checkpointed score-by-score so a killed daemon
         resumes bitwise-identically.
 
-        With a ``runtime.fidelity_schedule`` the sweep runs as a
-        successive-halving ladder (``docs/fidelity.md``); the returned
-        fidelity list tags the epoch budget each score was measured at.
-        Without one, fidelities are ``None`` and the path is byte-identical
-        to the flat pipeline.
+        The sweep runs the job's ``runtime.fidelity_schedule`` ladder
+        (``docs/fidelity.md``), or the one-rung flat sweep without one —
+        never the daemon's ``$REPRO_FIDELITY_SCHEDULE``, which the request
+        fingerprint does not carry.  The returned fidelity list tags the
+        epoch budget each score was measured at.
         """
         space = self.artifacts.space
         candidates = space.sample_batch(n_samples, np.random.default_rng(seed))
         evaluator = self.evaluator_for(runtime)
-        pairs = [(ah, task) for ah in candidates]
-        config = runtime.proxy_config()
-        if runtime.fidelity_schedule is None:
-            scores = evaluator.evaluate_pairs(pairs, config, progress=progress)
-            return candidates, scores, None
         warm_dir = (
             str(self.checkpoint_dir / "warm")
             if self.checkpoint_dir is not None
             else None
         )
         result = evaluator.evaluate_rungs(
-            pairs,
-            config,
-            schedule=runtime.fidelity_schedule,
+            [(ah, task) for ah in candidates],
+            runtime.proxy_config(),
+            schedule=runtime.fidelity_schedule or FLAT_SCHEDULE,
             progress=progress,
             warm_dir=warm_dir,
         )

@@ -76,7 +76,7 @@ def _run_collect(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
         for ah, score in zip(candidates, scores)
     ]
     body = {"task": task.name, "samples": samples}
-    if fidelities is not None:
+    if request.runtime.fidelity_schedule is not None:
         # A fidelity-scheduled collect tags each score with the epoch budget
         # it was measured at; the key is absent on flat collects so their
         # result bodies stay byte-identical to pre-fidelity ones.

@@ -42,9 +42,8 @@ from ..data.datasets import (
 )
 from ..data.transforms import IMPUTATION_POLICIES
 from ..runtime.evaluator import DIVERGENCE_POLICIES
-from ..runtime.fidelity import LABEL_POLICIES, parse_fidelity_schedule
+from ..runtime.fidelity import parse_fidelity_schedule
 from ..runtime.fingerprint import CACHE_KEY_VERSION, task_fingerprint_material
-from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
@@ -240,12 +239,12 @@ class RuntimeOverrides:
     proxy_lr: float | None = None
     proxy_seed: int | None = None
     # Successive-halving collection (docs/fidelity.md): an
-    # ``eta:rungs:min-epochs`` spec and the label policy for sub-full-fidelity
-    # scores.  Score-MATERIAL — a scheduled collect measures different
-    # (candidate, fidelity) pairs than a flat one — so both land in request
-    # fingerprints (conditionally, to keep no-schedule fingerprints stable).
+    # ``eta:rungs:min-epochs`` spec.  Score-MATERIAL — a scheduled collect
+    # measures different (candidate, fidelity) pairs than a flat one — so it
+    # lands in request fingerprints (conditionally, to keep no-schedule
+    # fingerprints stable).  ``None`` is the flat sweep, never the daemon's
+    # ``$REPRO_FIDELITY_SCHEDULE``: the fingerprint could not tell them apart.
     fidelity_schedule: str | None = None
-    fidelity_label_policy: str | None = None
 
     def proxy_config(self) -> ProxyConfig:
         """The per-job :class:`ProxyConfig`, overrides applied over defaults."""
@@ -279,14 +278,12 @@ class RuntimeOverrides:
             "proxy_seed": self.proxy_seed,
         }
         if self.fidelity_schedule is not None:
-            # Canonicalize so "3:3:1" and "3 : 3 : 1" (and an explicit vs
-            # defaulted label policy) dedupe to one computation.
-            settings = Settings.from_env().override(
-                fidelity_schedule=self.fidelity_schedule,
-                fidelity_label_policy=self.fidelity_label_policy,
-            )
-            material["fidelity_schedule"] = settings.fidelity_schedule.spec()
-            material["fidelity_label_policy"] = settings.fidelity_label_policy
+            # Canonicalize so "3:3:1" and "3 : 3 : 1" dedupe to one
+            # computation.  Only full-fidelity scores label ("survivors");
+            # the key stays so scheduled fingerprints keep their values.
+            schedule = parse_fidelity_schedule(self.fidelity_schedule)
+            material["fidelity_schedule"] = schedule.spec()
+            material["fidelity_label_policy"] = "survivors"
         return material
 
 
@@ -312,12 +309,6 @@ def parse_runtime(payload: dict | None) -> RuntimeOverrides:
             parse_fidelity_schedule(fidelity_schedule)
         except ConfigError as exc:
             raise ProtocolError(f"runtime: {exc}") from exc
-    label_policy = _optional(payload, "fidelity_label_policy", str, "runtime")
-    if label_policy is not None and label_policy not in LABEL_POLICIES:
-        raise ProtocolError(
-            f"runtime: unknown fidelity_label_policy {label_policy!r}; "
-            f"expected one of {LABEL_POLICIES}"
-        )
     overrides = RuntimeOverrides(
         workers=_optional(payload, "workers", int, "runtime"),
         divergence_policy=policy,
@@ -328,7 +319,6 @@ def parse_runtime(payload: dict | None) -> RuntimeOverrides:
         proxy_lr=_optional(payload, "proxy_lr", (int, float), "runtime"),
         proxy_seed=_optional(payload, "proxy_seed", int, "runtime"),
         fidelity_schedule=fidelity_schedule,
-        fidelity_label_policy=label_policy,
     )
     try:
         # ProxyConfig validates its numerics at construction (ConfigError);

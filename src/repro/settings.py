@@ -91,12 +91,6 @@ def _divergence_policies() -> tuple[str, ...]:
     return DIVERGENCE_POLICIES
 
 
-def _label_policies() -> tuple[str, ...]:
-    from .runtime.fidelity import LABEL_POLICIES
-
-    return LABEL_POLICIES
-
-
 def _fidelity_schedule(value) -> "FidelitySchedule":
     from .runtime.fidelity import FidelitySchedule, parse_fidelity_schedule
 
@@ -135,9 +129,6 @@ class Settings:
     # Successive-halving collection (docs/fidelity.md).
     fidelity_schedule: "FidelitySchedule | None" = _env(
         "REPRO_FIDELITY_SCHEDULE", _fidelity_schedule
-    )
-    fidelity_label_policy: str = _env(
-        "REPRO_FIDELITY_LABEL_POLICY", _choice(_label_policies), "survivors"
     )
     fidelity_warm_dir: str | None = _env("REPRO_FIDELITY_WARM_DIR", str)
     # Observability and numerics (docs/observability.md, docs/numerics.md).

@@ -110,12 +110,6 @@ class Architecture:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def operator_counts(self) -> dict[str, int]:
-        counts = {op: 0 for op in CANDIDATE_OPERATORS}
-        for edge in self.edges:
-            counts[edge.op] += 1
-        return counts
-
     def has_spatial_operator(self) -> bool:
         return any(edge.op in S_OPERATORS for edge in self.edges)
 

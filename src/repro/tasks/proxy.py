@@ -50,11 +50,11 @@ class ProxyConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     # Fidelity axis (successive halving, docs/fidelity.md): train only this
-    # many epochs of the full `epochs` budget.  None = full fidelity (the
-    # historical behaviour).  Score-MATERIAL when partial: a k'-epoch score
-    # is a different measurement than a k-epoch one, so the fingerprint
-    # includes it — but only when partial, keeping full-fidelity keys
-    # byte-identical to pre-fidelity ones.
+    # many epochs of the full `epochs` budget.  None = full fidelity.
+    # Score-MATERIAL when partial: a k'-epoch score is a different
+    # measurement than a k-epoch one, so the fingerprint includes it — but
+    # only when partial, keeping full-fidelity keys byte-identical to
+    # pre-fidelity ones.
     fidelity_epochs: int | None = None
     # Directory for warm-resume training snapshots.  Score-INERT: a warm
     # continuation is bitwise-identical to a fresh run of the same fidelity
@@ -108,52 +108,26 @@ def measure_arch_hyper(
     with a non-finite validation score — divergence is a typed, deterministic
     outcome here; the evaluator decides whether it becomes a sentinel score
     or propagates (``--divergence-policy``).
-    """
-    config = config if config is not None else ProxyConfig()
-    if config.fidelity_epochs is None and config.warm_dir is None:
-        # The exact historical single-fidelity path: no snapshot capture, no
-        # warm lookup — byte-for-byte the pre-fidelity pipeline.
-        prepared = task.prepared
-        model = build_forecaster(
-            arch_hyper, task.data, task.horizon, seed=config.seed
-        )
-        scores = train_forecaster(
-            model, prepared.train, prepared.val, config.train_config()
-        ).val_scores
-        value = float(scores.primary(single_step=task.single_step))
-        return _checked(value, arch_hyper, task)
-    return _measure_with_fidelity(arch_hyper, task, config)
 
-
-def _checked(value: float, arch_hyper: ArchHyper, task: Task) -> float:
-    if not np.isfinite(value):
-        raise DivergenceError(
-            f"proxy evaluation produced a non-finite score ({value}) for "
-            f"{arch_hyper.hyper} on task {task.name!r}"
-        )
-    return value
-
-
-def _measure_with_fidelity(
-    arch_hyper: ArchHyper, task: Task, config: ProxyConfig
-) -> float:
-    """R'(ah) at a (possibly partial) fidelity, warm-continuing when possible.
-
-    Training runs under the *full*-epochs :class:`TrainConfig` and is cut at
-    the fidelity budget by ``stop_after_epoch``; with a ``warm_dir``, the
-    end-of-run trainer snapshot is persisted so a later, higher-fidelity
+    Fidelity (``docs/fidelity.md``): training runs under the *full*-epochs
+    :class:`TrainConfig` and a partial ``fidelity_epochs`` budget cuts it
+    short with ``stop_after_epoch``.  With a ``warm_dir``, a partial run
+    persists its end-of-run trainer snapshot so a later, higher-fidelity
     measurement of the same candidate resumes instead of retraining — and
     the resumed run is bitwise-identical to a fresh one of that fidelity.
+    A full-fidelity run only reads snapshots: nothing measures it again.
     """
     # Lazy import: the runtime layer imports this module at load time, so
     # the reverse dependency must resolve at call time only.
     from ..runtime.warm import WarmStore
 
+    config = config if config is not None else ProxyConfig()
     budget = (
         config.fidelity_epochs
         if config.fidelity_epochs is not None
         else config.epochs
     )
+    partial = budget < config.epochs
     store = WarmStore(config.warm_dir) if config.warm_dir else None
     snapshot = (
         store.load(arch_hyper, task, config) if store is not None else None
@@ -169,14 +143,19 @@ def _measure_with_fidelity(
         prepared.train,
         prepared.val,
         config.train_config(),
-        stop_after_epoch=None if budget >= config.epochs else budget,
+        stop_after_epoch=budget if partial else None,
         resume_state=snapshot,
-        capture_state=store is not None,
+        capture_state=store is not None and partial,
     )
     value = float(result.val_scores.primary(single_step=task.single_step))
     if store is not None and result.state is not None:
         store.save(arch_hyper, task, config, result.state)
-    return _checked(value, arch_hyper, task)
+    if not np.isfinite(value):
+        raise DivergenceError(
+            f"proxy evaluation produced a non-finite score ({value}) for "
+            f"{arch_hyper.hyper} on task {task.name!r}"
+        )
+    return value
 
 
 def full_train_score(

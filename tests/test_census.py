@@ -21,11 +21,6 @@ CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
 ALLOWED = {
     "check_gradients": "test oracle: every op's gradient test runs against it",
     "pairwise_win_matrix": "test oracle: the ranking engine is held bitwise equal to it",
-    # No benchmark runs these search baselines yet; ROADMAP item 4 either
-    # wires them into bench_ablation_search.py or deletes them with their tests.
-    "random_search": "search baseline awaiting a benchmark",
-    "grid_search_hyper": "search baseline awaiting a benchmark",
-    "comparator_rank_search": "search baseline awaiting a benchmark",
 }
 
 

@@ -23,7 +23,7 @@ from repro.data.transforms import impute_non_finite
 from repro.nn.loss import bce_with_logits
 from repro.runtime import ProxyEvaluator, RetryPolicy
 from repro.settings import Settings
-from repro.search import EvolutionConfig, EvolutionarySearch, SearchTrace
+from repro.search import EvolutionConfig, EvolutionarySearch
 from repro.space import HyperSpace, JointSearchSpace
 from repro.tasks import ProxyConfig, SENTINEL_SCORE, Task, is_sentinel_score
 
@@ -256,18 +256,6 @@ class TestDivergenceAwarePairing:
 
 
 class TestSearchLoops:
-    def test_search_trace_clamps_non_finite_scores(self):
-        candidates = _candidates(3)
-        trace = SearchTrace(candidates, [0.5, float("nan"), float("inf")])
-        assert trace.diverged == 2
-        assert trace.best is candidates[0]
-        assert np.isfinite(trace.scores).all()
-
-    def test_search_trace_all_diverged_raises(self):
-        trace = SearchTrace(_candidates(2), [float("nan"), SENTINEL_SCORE])
-        with pytest.raises(DivergenceError):
-            trace.best
-
     def test_evolutionary_rank_survives_nan_wins(self):
         space = JointSearchSpace(hyper_space=TINY_HYPER)
 

@@ -2,9 +2,10 @@
 
 The contracts under test, in order of importance:
 
-* **bitwise inertness** — with no schedule configured, fingerprints, cache
-  keys, evaluator outputs, pairing RNG streams, and service score material
-  are identical to a build without the fidelity machinery;
+* **a flat campaign is the one-rung ladder** — with no schedule
+  configured, fingerprints, cache keys, scores, pairing RNG streams, and
+  service score material and bodies are those of a plain full-fidelity
+  sweep, and no warm snapshot is written;
 * **warm-promotion equivalence** — a candidate promoted through the rungs
   (resuming from warm snapshots) lands on *exactly* the score a fresh
   full-fidelity run produces, on the serial and the pool backend;
@@ -29,6 +30,7 @@ from repro.runtime import (
     FidelityScheduler,
     ProgressVersionError,
     ProxyEvaluator,
+    RungReport,
     parse_fidelity_schedule,
     proxy_fingerprint,
     warm_lineage_fingerprint,
@@ -114,14 +116,14 @@ class TestSchedule:
         assert Settings.from_env().fidelity_schedule == FidelitySchedule(4, 2, 1)
 
     def test_label_policy_resolution(self, monkeypatch):
+        # Only full-fidelity scores label; the retired policy knob is not a
+        # setting, so its variable is ignored and its name is refused.
         monkeypatch.delenv("REPRO_FIDELITY_LABEL_POLICY", raising=False)
-        assert Settings.from_env().fidelity_label_policy == "survivors"
-        explicit = Settings.from_env().override(fidelity_label_policy="tagged")
-        assert explicit.fidelity_label_policy == "tagged"
+        without = Settings.from_env()
         monkeypatch.setenv("REPRO_FIDELITY_LABEL_POLICY", "tagged")
-        assert Settings.from_env().fidelity_label_policy == "tagged"
-        with pytest.raises(ConfigError):
-            Settings().override(fidelity_label_policy="best-effort")
+        assert Settings.from_env() == without
+        with pytest.raises(KeyError):
+            Settings().override(fidelity_label_policy="tagged")
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +268,29 @@ class TestWarmPromotionEquivalence:
         assert all(
             fidelity in (1, 2, 3) for fidelity in result.fidelities
         )
-        assert result.full_fidelity_mask() == [f >= 3 for f in result.fidelities]
+        assert result.label_mask() == [f >= 3 for f in result.fidelities]
         # Warm accounting: 4@1 + 2@(2-1) + 1@(3-2) = 7 of 12 flat epochs.
         assert result.epochs_spent == 7
         assert result.epochs_saved == 5
+
+    def test_survivor_snapshot_stops_at_last_partial_budget(self, tmp_path):
+        """The final rung reads the last partial snapshot but writes none:
+        nothing measures a full-fidelity candidate again."""
+        from repro.runtime import WarmStore
+
+        _, result = self._ladder(
+            ProxyEvaluator(workers=1, cache=None), tmp_path, "final"
+        )
+        store = WarmStore(tmp_path / "warm-final")
+        task = _toy_task()
+        config = ProxyConfig(epochs=3, batch_size=32)
+        epochs = {
+            ah.key(): int(store.load(ah, task, config)["epoch"])
+            for ah in _candidates(4)
+        }
+        for ah, fidelity in zip(_candidates(4), result.fidelities):
+            # Ladder 1 -> 2 -> 3: a survivor's lineage ends at epoch 2.
+            assert epochs[ah.key()] == min(fidelity, 2)
 
     def test_pool_matches_serial_bitwise(self, tmp_path):
         serial_ref, serial = self._ladder(
@@ -303,26 +324,34 @@ class TestWarmPromotionEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The inert default: no schedule anywhere, byte-identical behaviour
+# The flat default: no schedule anywhere runs the one-rung ladder
 # ----------------------------------------------------------------------
 class TestInertDefault:
-    def test_evaluate_rungs_without_schedule_is_evaluate_pairs(self, monkeypatch):
+    def test_evaluate_rungs_without_schedule_is_evaluate_pairs(
+        self, monkeypatch, tmp_path
+    ):
         monkeypatch.delenv("REPRO_FIDELITY_SCHEDULE", raising=False)
         evaluator = ProxyEvaluator(workers=1, cache=None, eval_fn=cheap_eval)
         task = _toy_task()
         pairs = [(ah, task) for ah in _candidates(3)]
         config = ProxyConfig(epochs=2)
         flat = evaluator.evaluate_pairs(pairs, config)
-        result = evaluator.evaluate_rungs(pairs, config)
+        result = evaluator.evaluate_rungs(
+            pairs, config, warm_dir=str(tmp_path / "warm")
+        )
         assert isinstance(result, FidelityResult)
         assert result.scores == flat
         assert result.fidelities == [2, 2, 2]
-        assert result.rungs == []  # no ladder ran
-        assert result.epochs_spent == 0 and result.full_fidelity_mask() == [
-            True,
-            True,
-            True,
+        assert result.rungs == [
+            RungReport(
+                rung=0, epochs=2, candidates=3, promoted=0, culled=0,
+                epoch_budget=6,
+            )
         ]
+        assert result.epochs_spent == 6 and result.epochs_saved == 0
+        assert result.label_mask() is None
+        # One rung has nothing to promote, so no warm dir is attached.
+        assert not (tmp_path / "warm").exists()
 
     def test_rung_metrics_and_reports(self):
         from repro.obs import MetricsRegistry, metrics_scope
@@ -487,13 +516,6 @@ class TestAutoCTSPlusFidelity:
             if eligible:
                 assert measured[i][1] == flat[i][1]
 
-    def test_tagged_policy_uses_every_score(self):
-        search = self._search(
-            fidelity_schedule="2:2:1", fidelity_label_policy="tagged"
-        )
-        search.collect_samples(_toy_task())
-        assert search._label_eligible is None
-
 
 # ----------------------------------------------------------------------
 # Service protocol: the schedule is score material
@@ -520,17 +542,76 @@ class TestServiceProtocol:
             {"fidelity_schedule": "3:3:1", "fidelity_label_policy": "tagged"}
         )
         assert overrides.fidelity_schedule == "3:3:1"
-        assert overrides.fidelity_label_policy == "tagged"
+        # The retired label-policy key is ignored like any unknown key.
+        assert overrides == parse_runtime({"fidelity_schedule": "3:3:1"})
         with pytest.raises(ProtocolError, match="fidelity schedule"):
             parse_runtime({"fidelity_schedule": "bogus"})
-        with pytest.raises(ProtocolError, match="fidelity_label_policy"):
-            parse_runtime({"fidelity_label_policy": "whatever"})
 
     def test_parse_runtime_rejects_bad_proxy_numerics_at_submit(self):
         from repro.service.protocol import ProtocolError, parse_runtime
 
         with pytest.raises(ProtocolError, match="runtime"):
             parse_runtime({"proxy_epochs": 0})
+
+
+class TestServiceCollect:
+    """A collect job runs its own schedule, or the flat one-rung sweep."""
+
+    @staticmethod
+    def _collect(engine, runtime):
+        from repro.service.jobs import execute_job
+        from repro.service.protocol import parse_submit, request_fingerprint
+        from tests.test_service import _task_spec
+
+        request = parse_submit(
+            {
+                "kind": "collect",
+                "task": _task_spec(),
+                "options": {"n_samples": 3},
+                "runtime": runtime,
+            }
+        )
+        fingerprint = request_fingerprint(request, engine.fingerprint)
+        return fingerprint, execute_job(engine, request, fingerprint).body
+
+    @staticmethod
+    def _engine(tmp_path, eval_fn=None):
+        from repro.experiments.config import SCALES
+        from repro.service import Engine
+        from tests.test_service import _artifacts
+
+        return Engine(
+            _artifacts(),
+            SCALES["smoke"],
+            checkpoint_dir=tmp_path / "ckpt",
+            eval_fn=eval_fn,
+            cache_enabled=False,
+        )
+
+    def test_daemon_schedule_does_not_reach_a_flat_request(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_FIDELITY_SCHEDULE", raising=False)
+        engine = self._engine(tmp_path, eval_fn=cheap_eval)
+        runtime = {"proxy_epochs": 3}
+        flat = self._collect(engine, runtime)
+        monkeypatch.setenv("REPRO_FIDELITY_SCHEDULE", "3:3:1")
+        # Same request fingerprint, so the body must not change either, or
+        # dedup would serve one computation for another.
+        assert self._collect(engine, runtime) == flat
+        assert "fidelity_schedule" not in flat[1]
+        assert all("fidelity_epochs" not in s for s in flat[1]["samples"])
+        scheduled = self._collect(engine, {**runtime, "fidelity_schedule": "3:3:1"})
+        assert scheduled[0] != flat[0] and scheduled[1] != flat[1]
+
+    def test_flat_collect_writes_no_warm_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_FIDELITY_SCHEDULE", raising=False)
+        engine = self._engine(tmp_path)
+        runtime = {"proxy_epochs": 2, "proxy_batch_size": 32}
+        self._collect(engine, runtime)
+        assert not list((tmp_path / "ckpt").rglob("*.warm.pkl"))
+        self._collect(engine, {**runtime, "fidelity_schedule": "2:2:1"})
+        assert list((tmp_path / "ckpt").rglob("*.warm.pkl"))
 
 
 # ----------------------------------------------------------------------
@@ -546,15 +627,16 @@ class TestCLI:
                 "SZ-TAXI",
                 "--fidelity-schedule",
                 "3:3:1",
-                "--fidelity-label-policy",
-                "tagged",
                 "--warm-dir",
                 "/tmp/warm",
             ]
         )
         assert args.fidelity_schedule == "3:3:1"
-        assert args.fidelity_label_policy == "tagged"
         assert args.warm_dir == "/tmp/warm"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["search", "SZ-TAXI", "--fidelity-label-policy", "tagged"]
+            )
 
     @pytest.mark.parametrize("command", ["search", "autocts"])
     def test_malformed_schedule_exits_cleanly(self, command, capsys):

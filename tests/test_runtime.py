@@ -276,28 +276,7 @@ class TestDefaultEvaluator:
 
 
 class TestCallSiteWiring:
-    """The four call sites route through an injected evaluator."""
-
-    def test_random_search_uses_evaluator(self, tmp_path):
-        from repro.search import random_search
-
-        task = _toy_task()
-        space = JointSearchSpace(hyper_space=TINY_HYPER)
-        evaluator = ProxyEvaluator(workers=1, cache=None, eval_fn=cheap_eval)
-        trace = random_search(task, space, 3, seed=0, evaluator=evaluator)
-        assert evaluator.stats.misses == 3
-        assert len(trace.scores) == 3
-        assert np.isfinite(trace.best_score)
-
-    def test_grid_search_uses_evaluator(self):
-        from repro.search import grid_search_hyper
-
-        task = _toy_task()
-        (base,) = _candidates(1)
-        evaluator = ProxyEvaluator(workers=1, cache=None, eval_fn=cheap_eval)
-        trace = grid_search_hyper(base, task, (8,), (8,), evaluator=evaluator)
-        assert evaluator.stats.misses == 1
-        assert len(trace.candidates) == 1
+    """The proxy call sites route through an injected evaluator."""
 
     def test_collect_task_samples_uses_evaluator(self):
         from repro.comparator import PretrainConfig, collect_task_samples
@@ -387,7 +366,6 @@ class TestNoSharedMutableDefaults:
     def test_signatures_use_none_sentinel(self):
         import inspect
 
-        from repro.search import grid_search_hyper, random_search
         from repro.tasks import full_train_score, measure_arch_hyper
 
         evaluator = ProxyEvaluator(workers=1, cache=None, eval_fn=cheap_eval)
@@ -400,9 +378,6 @@ class TestNoSharedMutableDefaults:
         ]
         for fn in callables:
             default = inspect.signature(fn).parameters["config"].default
-            assert default is None, f"{fn.__qualname__} shares a default config"
-        for fn in (random_search, grid_search_hyper):
-            default = inspect.signature(fn).parameters["proxy"].default
             assert default is None, f"{fn.__qualname__} shares a default config"
 
     def test_each_call_resolves_a_fresh_config(self):

@@ -14,13 +14,11 @@ from repro.search import (
     EvolutionarySearch,
     ZeroShotConfig,
     ZeroShotSearch,
-    grid_search_hyper,
-    random_search,
     round_robin_top_k,
     win_counts,
 )
 from repro.space import HyperSpace, JointSearchSpace
-from repro.tasks import ProxyConfig, Task
+from repro.tasks import Task
 
 TINY_HYPER = HyperSpace(
     num_blocks=(1,), num_nodes=(3, 4), hidden_dims=(8, 12), output_dims=(8,),
@@ -193,25 +191,6 @@ class TestZeroShotSearch:
 
 
 class TestSearchBaselines:
-    def test_random_search_returns_best(self):
-        trace = random_search(
-            _toy_task(), TINY_SPACE, n_candidates=3,
-            proxy=ProxyConfig(epochs=1, batch_size=32),
-        )
-        assert trace.best_score == min(trace.scores)
-        assert trace.best in trace.candidates
-
-    def test_grid_search_sweeps_h_and_i(self):
-        space = TINY_SPACE
-        base = space.sample(np.random.default_rng(0))
-        trace = grid_search_hyper(
-            base, _toy_task(), hidden_dims=(8, 12), output_dims=(8,),
-            proxy=ProxyConfig(epochs=1, batch_size=32),
-        )
-        assert len(trace.candidates) == 2
-        hs = {ah.hyper.hidden_dim for ah in trace.candidates}
-        assert hs == {8, 12}
-
     def test_random_search_regret_definition(self):
         scores = np.array([0.5, 0.1, 0.9])
         assert top_k_regret([1], scores) == 0.0

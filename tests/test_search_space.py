@@ -61,10 +61,6 @@ class TestArchitectureValidity:
         with pytest.raises(ValueError):
             Architecture(2, (Edge(0, 1, "gdcc"), Edge(1, 5, "dgcn")))
 
-    def test_operator_counts(self):
-        arch = Architecture(3, (Edge(0, 1, "gdcc"), Edge(1, 2, "gdcc")))
-        assert arch.operator_counts()["gdcc"] == 2
-
     def test_spatial_temporal_detection(self):
         t_only = Architecture(3, (Edge(0, 1, "gdcc"), Edge(1, 2, "inf_t")))
         assert t_only.has_temporal_operator() and not t_only.has_spatial_operator()

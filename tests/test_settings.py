@@ -30,7 +30,6 @@ MALFORMED = {
     "REPRO_EVAL_TIMEOUT": "0",
     "REPRO_EVAL_CACHE": "disabled",
     "REPRO_FIDELITY_SCHEDULE": "3:3",
-    "REPRO_FIDELITY_LABEL_POLICY": "best-effort",
     "REPRO_METRICS_INTERVAL": "soon",
     "REPRO_PROFILE": "enabled",
     "REPRO_ANOMALY": "enabled",
@@ -51,7 +50,7 @@ FREE_TEXT = {
 
 class TestTypedErrors:
     def test_every_variable_is_covered(self):
-        assert len(ENV_VARS) == 18
+        assert len(ENV_VARS) == 17
         assert set(MALFORMED) | FREE_TEXT == set(ENV_VARS.values())
         assert not set(MALFORMED) & FREE_TEXT
 
@@ -80,7 +79,6 @@ class TestMeanings:
         assert settings.workers == 1
         assert settings.eval_cache is True
         assert settings.divergence_policy == "sentinel"
-        assert settings.fidelity_label_policy == "survivors"
         assert settings.metrics_interval == 30.0
         assert settings.retry_policy() is None
         assert settings.service_url == "http://127.0.0.1:8737"
