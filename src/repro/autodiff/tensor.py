@@ -142,7 +142,15 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The walk consumes the graph: once a node has handed its gradient to
+        its parents, its backward closure and parent links are dropped, so
+        what the closure alone captured is freed during the walk, and the
+        rest of the graph when the walk returns instead of when the caller
+        drops the loss.  A second ``backward()`` through a consumed node
+        raises :class:`RuntimeError`.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -164,11 +172,16 @@ class Tensor:
         profiled = profiling_enabled()
         check = anomaly_enabled()
         for node in order:
+            backward = node._backward
+            parents = node._parents
+            if backward is not None:
+                node._backward = _consumed
+                node._parents = ()
             node_grad = grads.pop(id(node), None)
             owned.discard(id(node))
             if node_grad is None:
                 continue
-            if node.requires_grad and node._backward is None:
+            if node.requires_grad and backward is None:
                 # A leaf: accumulate into .grad (in place once it exists —
                 # the initial ``.copy()`` makes the buffer the tensor's own).
                 if node.grad is None:
@@ -181,23 +194,21 @@ class Tensor:
                     np.add(node.grad, node_grad, out=node.grad)
                 else:
                     node.grad = node.grad + node_grad
-            if node._backward is not None:
-                parent_grads = node._backward(node_grad)
+            if backward is not None:
+                parent_grads = backward(node_grad)
                 if profiled:
-                    record_op(
-                        node._op or op_name_of(node._backward), "backward"
-                    )
+                    record_op(node._op or op_name_of(backward), "backward")
                 if parent_grads is None:
                     continue
-                for parent, pgrad in zip(node._parents, parent_grads):
+                for parent, pgrad in zip(parents, parent_grads):
                     if pgrad is None or not _needs_grad(parent):
                         continue
                     if check and not np.isfinite(pgrad).all():
                         raise_non_finite(
-                            node._op or op_name_of(node._backward),
+                            node._op or op_name_of(backward),
                             "backward",
                             pgrad,
-                            node._parents,
+                            parents,
                         )
                     key = id(parent)
                     if key in grads:
@@ -216,6 +227,14 @@ class Tensor:
 
     # Arithmetic operators are attached in repro.autodiff.ops to keep this
     # module focused on the graph machinery.
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The backward closure of a node an earlier ``backward()`` walked."""
+    raise RuntimeError(
+        "backward() reached a graph node that an earlier backward() already "
+        "consumed; rebuild the graph with a new forward pass"
+    )
 
 
 def _needs_grad(t: Tensor) -> bool:

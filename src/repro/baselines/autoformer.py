@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, no_grad, softmax, stack
+from ..autodiff import Tensor, no_grad, softmax, stack
 from ..nn.linear import Linear
 from ..nn.module import Module, ModuleList
 from ..nn.norm import LayerNorm

@@ -8,8 +8,6 @@ searched and manual models identically.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Tensor, as_tensor
 from ..nn.module import Module
 

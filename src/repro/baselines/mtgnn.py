@@ -9,8 +9,6 @@ kernel sizes, concatenated).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Tensor, concat
 from ..nn import init
 from ..nn.conv import CausalConv2d, PointwiseConv2d

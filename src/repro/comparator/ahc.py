@@ -14,7 +14,6 @@ from ..autodiff import Tensor, concat, no_grad, sigmoid
 from ..nn.linear import MLP, Linear
 from ..nn.module import Module
 from ..space.archhyper import ArchHyper
-from ..space.encoding import encode_batch
 from ..space.hyperparams import HyperSpace
 from ..utils.seeding import derive_rng
 from .gin import GINEncoder

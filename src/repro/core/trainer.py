@@ -29,12 +29,11 @@ from ..obs.trace import span
 from ..optim import Adam, clip_grad_norm, grad_norm
 from ..utils.seeding import derive_rng
 from ..utils.validation import (
-    ConfigError,
     require_finite,
     require_int_at_least,
     require_positive_finite,
 )
-from .health import DivergenceError, HealthConfig, HealthMonitor, HealthReport
+from .health import HealthConfig, HealthMonitor, HealthReport
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ setting labels so the output aligns with the original tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..space.hyperparams import HyperSpace
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Tensor, mean, sqrt, variance
 from . import init
 from .module import Module, Parameter

@@ -8,8 +8,6 @@ diffusion orders are mixed back to the hidden width by a 1x1 convolution.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Tensor, concat, matmul, relu, softmax
 from ..autodiff.fused import reference_kernels
 from ..nn import init

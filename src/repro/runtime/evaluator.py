@@ -43,14 +43,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ..autodiff.anomaly import anomaly_enabled, detect_anomaly
 from ..core.health import DivergenceError
 from ..obs.heartbeat import heartbeat, latency_summary
-from ..obs.metrics import MetricsRegistry, get_registry, metrics_scope
-from ..obs.profile import profile, profiling_enabled
-from ..obs.trace import Tracer, get_tracer, span, tracer_scope, tracing_enabled
+from ..obs.capture import CallerModes, captured, relay
+from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.trace import span
 from ..settings import Settings
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import SENTINEL_SCORE, ProxyConfig, measure_arch_hyper
@@ -208,9 +205,10 @@ def _timed_eval(payload: tuple) -> tuple[float, float, bool, float, list, dict]:
     time (monotonic clocks are not comparable across processes, wall clocks
     on one machine are).
 
-    The caller's anomaly and profiling modes ride in the payload too, read
-    in the calling thread, so a timeout thread or a pool worker of any start
-    method runs under the same modes as the serial backend.
+    The caller's anomaly, profiling and tracing modes ride in the payload
+    as a :class:`~repro.obs.capture.CallerModes`, read in the calling
+    thread, so a timeout thread or a pool worker of any start method runs
+    under the same modes as the serial backend.
 
     Divergence handling is also here so both backends behave identically:
     under the ``sentinel`` policy a :class:`DivergenceError`
@@ -218,30 +216,16 @@ def _timed_eval(payload: tuple) -> tuple[float, float, bool, float, list, dict]:
     the process boundary, no retry is triggered); under ``raise`` it
     propagates to the caller.
     """
-    (eval_fn, arch_hyper, task, config, divergence_policy, trace, anomaly,
-     profiling) = payload
+    eval_fn, arch_hyper, task, config, divergence_policy, modes = payload
     started_wall = time.time()
-    spans: list[dict] = []
-    collector = Tracer(spans.append) if trace else None
-    scope = tracer_scope(collector) if trace else contextlib.nullcontext()
-    with (
-        detect_anomaly(anomaly),
-        profile(profiling),
-        scope,
-        metrics_scope() as local_metrics,
-    ):
+    with captured(modes) as capture:
         start = time.perf_counter()
         score, diverged = _guarded_eval(
-            eval_fn, arch_hyper, task, config, divergence_policy, collector
+            eval_fn, arch_hyper, task, config, divergence_policy, capture.collector
         )
         seconds = time.perf_counter() - start
     return (
-        float(score),
-        seconds,
-        diverged,
-        started_wall,
-        spans,
-        local_metrics.snapshot(),
+        float(score), seconds, diverged, started_wall, capture.spans, capture.metrics
     )
 
 
@@ -407,18 +391,14 @@ class ProxyEvaluator:
                     progress.record(fingerprint, score)
                 # Fold worker-side metric deltas (health monitor, profiling)
                 # into this evaluator's registry — and, via its parent link,
-                # into the consolidated process-wide snapshot.
-                if metrics:
-                    self.stats.registry.merge(metrics)
-                # Graft worker spans onto this batch, stamped with what only
-                # the parent knows: the attempt that finally landed and the
+                # into the consolidated process-wide snapshot — and graft
+                # worker spans onto this batch, stamped with what only the
+                # parent knows: the attempt that finally landed and the
                 # content-addressed fingerprint.
-                tracer = get_tracer()
-                if spans and tracer is not None:
-                    root_attrs: dict = {"attempt": attempts}
-                    if fingerprint is not None:
-                        root_attrs["fingerprint"] = fingerprint
-                    tracer.relay(spans, batch_span.id, root_attrs)
+                root_attrs: dict = {"attempt": attempts}
+                if fingerprint is not None:
+                    root_attrs["fingerprint"] = fingerprint
+                relay(spans, metrics, batch_span.id, root_attrs, self.stats.registry)
                 done += 1
                 heartbeat(
                     "eval",
@@ -485,9 +465,7 @@ class ProxyEvaluator:
             task,
             config,
             self.divergence_policy,
-            tracing_enabled(),
-            anomaly_enabled(),
-            profiling_enabled(),
+            CallerModes.current(),
         )
 
     def _run_backend(

@@ -37,7 +37,8 @@ from ..obs.trace import span
 from ..space.archhyper import ArchHyper
 from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
-from ..utils.validation import ConfigError, require, require_int_at_least
+from ..utils.validation import ConfigError, require_int_at_least
+from .warm import WarmStore
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,8 @@ class FidelityScheduler:
             :class:`~repro.tasks.proxy.ProxyConfig` as the score-inert
             ``warm_dir`` field, and only when the ladder has more than one
             rung: a flat sweep has nothing to promote, so it neither reads
-            nor writes snapshots.
+            nor writes snapshots.  A ladder that completes deletes the
+            snapshots of its lineages.
     """
 
     def __init__(
@@ -272,4 +274,10 @@ class FidelityScheduler:
             )
             active = promoted
         registry.counter("fidelity.epochs_saved").inc(result.epochs_saved)
+        if config.warm_dir is not None:
+            # The ladder is complete, so no rung will resume these lineages;
+            # an interrupted ladder never gets here and keeps them.
+            store = WarmStore(config.warm_dir)
+            for arch_hyper, task in pairs:
+                store.discard(arch_hyper, task, config)
         return result

@@ -63,3 +63,8 @@ class WarmStore:
         """Persist a trainer snapshot for later promotion."""
         lineage = warm_lineage_fingerprint(arch_hyper, task, config)
         self._checkpoint(lineage).save(state)
+
+    def discard(self, arch_hyper: ArchHyper, task: Task, config: ProxyConfig) -> None:
+        """Delete the candidate's snapshot once nothing will resume it."""
+        lineage = warm_lineage_fingerprint(arch_hyper, task, config)
+        self._checkpoint(lineage).clear()

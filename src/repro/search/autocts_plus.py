@@ -26,8 +26,7 @@ from ..comparator.ahc import AHC
 from ..comparator.pairing import dynamic_pairs, has_comparable_pair, pair_index_arrays
 from ..comparator.scoring import RankingEngine
 from ..core.health import DivergenceError
-from ..core.model import build_forecaster
-from ..core.trainer import TrainConfig, evaluate_forecaster, train_forecaster
+from ..core.trainer import TrainConfig
 from ..metrics import ForecastScores
 from ..nn.loss import bce_with_logits
 from ..obs.heartbeat import heartbeat
@@ -42,6 +41,7 @@ from ..tasks.proxy import ProxyConfig
 from ..tasks.task import Task
 from ..utils.seeding import derive_rng
 from .evolutionary import EvolutionConfig, EvolutionarySearch
+from .final_training import train_top_k
 
 if TYPE_CHECKING:
     from ..runtime import Checkpoint, ProxyEvaluator
@@ -255,65 +255,25 @@ class AutoCTSPlusSearch:
     ) -> tuple[ArchHyper, ForecastScores]:
         """Stage 4: fully train the top-K, keep the validation winner.
 
+        The candidates train concurrently (:func:`.final_training.train_top_k`).
         A candidate that diverges during final training (or lands on a
         non-finite validation score) is dropped from contention instead of
         crashing the pipeline; if *every* candidate diverges, a
         :class:`~repro.core.health.DivergenceError` propagates.
         """
         config = self.config
-        prepared = task.prepared
-        best_val = float("inf")
-        best: tuple[ArchHyper, ForecastScores] | None = None
         with span("final-train", task=task.name, candidates=len(candidates)):
-            for position, candidate in enumerate(candidates):
-                with span(
-                    "final-candidate", candidate=candidate.key(), index=position
-                ) as handle:
-                    model = build_forecaster(
-                        candidate, task.data, task.horizon, seed=config.seed
-                    )
-                    try:
-                        trained = train_forecaster(
-                            model,
-                            prepared.train,
-                            prepared.val,
-                            TrainConfig(
-                                epochs=config.final_train_epochs,
-                                batch_size=config.batch_size,
-                                patience=max(3, config.final_train_epochs // 3),
-                                seed=config.seed,
-                            ),
-                        )
-                    except DivergenceError:
-                        handle.set(diverged=True)
-                        continue  # diverged candidate: automatic loser
-                    primary = trained.val_scores.primary(
-                        single_step=task.single_step
-                    )
-                    handle.set(val=float(primary))
-                    if np.isfinite(primary) and primary < best_val:
-                        best_val = primary
-                        test = evaluate_forecaster(
-                            model,
-                            prepared.test,
-                            config.batch_size,
-                            inverse=prepared.inverse,
-                        )
-                        best = (candidate, test)
-                heartbeat(
-                    "final-train",
-                    lambda: (
-                        f"final training {position + 1}/{len(candidates)} "
-                        f"candidates; best val "
-                        + (f"{best_val:.4f}" if best is not None else "n/a")
-                    ),
-                )
-        if best is None:
-            raise DivergenceError(
-                f"all {len(candidates)} final candidates diverged on task "
-                f"{task.name!r}"
+            selection = train_top_k(
+                task,
+                candidates,
+                TrainConfig(
+                    epochs=config.final_train_epochs,
+                    batch_size=config.batch_size,
+                    patience=max(3, config.final_train_epochs // 3),
+                    seed=config.seed,
+                ),
             )
-        return best
+        return selection.best, selection.test_scores
 
     # ------------------------------------------------------------------
     # Full pipeline

@@ -23,9 +23,7 @@ import numpy as np
 
 from ..comparator.scoring import RankingEngine
 from ..comparator.tahc import TAHC
-from ..core.health import DivergenceError
-from ..core.model import build_forecaster
-from ..core.trainer import TrainConfig, evaluate_forecaster, train_forecaster
+from ..core.trainer import TrainConfig
 from ..embedding.task_encoder import PreliminaryEmbedder, preliminary_task_embedding
 from ..metrics import ForecastScores
 from ..obs.trace import span
@@ -33,6 +31,7 @@ from ..space.archhyper import ArchHyper
 from ..space.sampling import JointSearchSpace
 from ..tasks.task import Task
 from .evolutionary import EvolutionConfig, EvolutionarySearch
+from .final_training import train_top_k
 
 if TYPE_CHECKING:
     from ..runtime import Checkpoint
@@ -131,56 +130,26 @@ class ZeroShotSearch:
     ) -> tuple[ArchHyper, ForecastScores, list[float]]:
         """Phase 3: fully train top-K candidates, keep the best on validation.
 
+        The candidates train concurrently (:func:`.final_training.train_top_k`).
         A candidate that diverges in final training (or produces a non-finite
         validation score) records the deterministic sentinel score and is
         dropped from contention.  If every candidate diverges, a
         :class:`~repro.core.health.DivergenceError` propagates.
         """
-        from ..tasks.proxy import SENTINEL_SCORE
-
-        prepared = task.prepared
         config = self.config
-        best_val = float("inf")
-        best: tuple[ArchHyper, ForecastScores] | None = None
-        val_scores: list[float] = []
-        for candidate in candidates:
-            model = build_forecaster(
-                candidate, task.data, task.horizon, seed=config.seed
-            )
-            try:
-                trained = train_forecaster(
-                    model,
-                    prepared.train,
-                    prepared.val,
-                    TrainConfig(
-                        epochs=config.final_train_epochs,
-                        batch_size=config.batch_size,
-                        lr=config.lr,
-                        weight_decay=config.weight_decay,
-                        patience=max(3, config.final_train_epochs // 3),
-                        seed=config.seed,
-                    ),
-                )
-            except DivergenceError:
-                val_scores.append(SENTINEL_SCORE)
-                continue  # diverged candidate: automatic loser
-            val_primary = trained.val_scores.primary(single_step=task.single_step)
-            if not np.isfinite(val_primary):
-                val_scores.append(SENTINEL_SCORE)
-                continue
-            val_scores.append(val_primary)
-            if val_primary < best_val:
-                best_val = val_primary
-                test = evaluate_forecaster(
-                    model, prepared.test, config.batch_size, inverse=prepared.inverse
-                )
-                best = (candidate, test)
-        if best is None:
-            raise DivergenceError(
-                f"all {len(candidates)} final candidates diverged on task "
-                f"{task.name!r}"
-            )
-        return best[0], best[1], val_scores
+        selection = train_top_k(
+            task,
+            candidates,
+            TrainConfig(
+                epochs=config.final_train_epochs,
+                batch_size=config.batch_size,
+                lr=config.lr,
+                weight_decay=config.weight_decay,
+                patience=max(3, config.final_train_epochs // 3),
+                seed=config.seed,
+            ),
+        )
+        return selection.best, selection.test_scores, selection.val_scores
 
     # ------------------------------------------------------------------
     # Full pipeline

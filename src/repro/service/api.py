@@ -302,7 +302,7 @@ class ServiceAPI:
                     "deduped": True,
                     "result": cached,
                 }
-            result = execute_job(self.engine, request, fingerprint)
+            result = execute_job(self.engine, request, fingerprint, resumable=False)
         self.db.put_result(fingerprint, "rank", result.body)
         return 200, {
             "fingerprint": fingerprint,

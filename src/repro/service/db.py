@@ -7,10 +7,6 @@ One database file holds everything the service remembers across restarts:
   identical work share one row here, which is what makes duplicate
   submissions free.
 
-The schema also carries a ``tasks`` table (task specs keyed by content
-fingerprint) that nothing writes or reads; dropping it needs a
-``user_version`` migration of its own.
-
 Concurrency model: every thread gets its own connection (sqlite
 connections are not thread-safe; :class:`ServiceDB` keeps them in
 thread-local storage) in WAL mode with a busy timeout, and every
@@ -41,7 +37,7 @@ import time
 import uuid
 from pathlib import Path
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 JOB_STATES = ("pending", "running", "done", "failed")
 
@@ -130,6 +126,8 @@ MIGRATIONS: tuple[tuple[str, ...], ...] = (
         """,
         "CREATE INDEX metrics_history_ts ON metrics_history (ts)",
     ),
+    # v2 -> v3: drop the ``tasks`` table of v1, which nothing wrote or read.
+    ("DROP TABLE tasks",),
 )
 
 

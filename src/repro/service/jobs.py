@@ -2,8 +2,9 @@
 
 One function per job kind, all funnelled through :func:`execute_job` so the
 daemon, the synchronous API path, and tests execute the *same* code — the
-only difference between ``POST /rank`` (synchronous) and ``POST /jobs``
-(queued) is who calls this module, not what it does.
+only differences between ``POST /rank`` (synchronous) and ``POST /jobs``
+(queued) are who calls this module and whether the run keeps a progress
+checkpoint to resume from (only queued jobs do).
 
 Every execution happens inside a fresh :func:`~repro.obs.metrics_scope`
 whose registry has the ambient one as parent: increments flow upward to the
@@ -14,7 +15,7 @@ persists into the registry row (``GET /jobs/<id>`` streams it as progress).
 from __future__ import annotations
 
 from ..obs import MetricsRegistry, get_registry, metrics_scope, span
-from ..runtime import EvalProgress
+from ..runtime import Checkpoint, EvalProgress
 from ..space.archhyper import ArchHyper
 from .engine import Engine
 from .protocol import JobRequest, ProtocolError, task_fingerprint
@@ -42,9 +43,10 @@ def _int_option(options: dict, key: str, default: int | None) -> int | None:
     return value
 
 
-def _run_rank(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
+def _run_rank(
+    engine: Engine, request: JobRequest, fingerprint: str, checkpoint: Checkpoint | None
+) -> dict:
     task = request.build_task()
-    checkpoint = engine.job_checkpoint(fingerprint, _CHECKPOINT_KINDS["rank"])
     outcome = engine.rank_task(
         task,
         task_fingerprint(task),
@@ -58,9 +60,10 @@ def _run_rank(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
     return outcome.to_dict()
 
 
-def _run_collect(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
+def _run_collect(
+    engine: Engine, request: JobRequest, fingerprint: str, checkpoint: Checkpoint | None
+) -> dict:
     task = request.build_task()
-    checkpoint = engine.job_checkpoint(fingerprint, _CHECKPOINT_KINDS["collect"])
     progress = EvalProgress(checkpoint) if checkpoint is not None else None
     candidates, scores, fidelities = engine.collect_scores(
         task,
@@ -86,7 +89,9 @@ def _run_collect(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
     return body
 
 
-def _run_train(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
+def _run_train(
+    engine: Engine, request: JobRequest, fingerprint: str, checkpoint: Checkpoint | None
+) -> dict:
     task = request.build_task()
     arch_hyper = ArchHyper.from_dict(request.options["arch_hyper"])
     return engine.train_artifact(
@@ -101,8 +106,15 @@ def _run_train(engine: Engine, request: JobRequest, fingerprint: str) -> dict:
 _EXECUTORS = {"rank": _run_rank, "collect": _run_collect, "train": _run_train}
 
 
-def execute_job(engine: Engine, request: JobRequest, fingerprint: str) -> JobResult:
+def execute_job(
+    engine: Engine, request: JobRequest, fingerprint: str, resumable: bool = True
+) -> JobResult:
     """Run one validated request to completion and return its result body.
+
+    A ``resumable`` job (the daemon's) records its progress in a checkpoint
+    addressed by its request, so a killed daemon resumes it; the synchronous
+    ``POST /rank`` passes ``resumable=False``, because nothing resumes an
+    in-request rank.
 
     Raises whatever the underlying executor raises — the *caller* decides
     what an exception means (the daemon marks the job failed; the
@@ -113,7 +125,13 @@ def execute_job(engine: Engine, request: JobRequest, fingerprint: str) -> JobRes
     executor = _EXECUTORS.get(request.kind)
     if executor is None:
         raise ProtocolError(f"unknown job kind {request.kind!r}")
+    kind = _CHECKPOINT_KINDS.get(request.kind)
+    checkpoint = (
+        engine.job_checkpoint(fingerprint, kind)
+        if resumable and kind is not None
+        else None
+    )
     with metrics_scope(MetricsRegistry(parent=get_registry())) as registry:
         with span("execute", kind=request.kind, tenant=request.tenant):
-            body = executor(engine, request, fingerprint)
+            body = executor(engine, request, fingerprint, checkpoint)
         return JobResult(body, registry.snapshot())

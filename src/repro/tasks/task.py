@@ -7,7 +7,7 @@ splitting, train-fitted standardization, and window construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -119,3 +119,53 @@ class TestDtypeHandling:
         y = 2.0 * x + 1.0 - 0.5 / (x + 1.0)
         y.sum().backward()
         assert x.grad is not None
+
+
+class TestGraphRelease:
+    """``backward()`` consumes the graph it walks."""
+
+    def test_backward_frees_intermediate_arrays(self):
+        import weakref
+
+        x = Tensor(np.linspace(-1.0, 1.0, 64).reshape(8, 8), requires_grad=True)
+        hidden = ad.tanh(x * 2.0)
+        alive = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        assert alive() is not None  # the graph still holds the activation
+        loss.backward()
+        assert alive() is None
+        assert x.grad is not None and np.isfinite(x.grad).all()
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = (ad.exp(x) * 2.0).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_new_graph_through_a_consumed_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        shared = ad.exp(x)
+        shared.sum().backward()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            (shared * 3.0).sum().backward()
+
+    def test_consumed_graph_still_names_its_ops(self):
+        from repro.autodiff.anomaly import NonFiniteError, detect_anomaly
+        from repro.obs import metrics_scope, profile
+
+        with metrics_scope() as registry, profile():
+            x = Tensor(np.ones(3), requires_grad=True)
+            (ad.tanh(x) * 2.0).sum().backward()
+        snap = registry.snapshot()
+        assert snap["profile.ops.tanh.backward"]["value"] == 1.0
+        assert snap["profile.ops.mul.backward"]["value"] == 1.0
+        with detect_anomaly(), np.errstate(over="ignore", divide="ignore"):
+            t = Tensor(np.array([5e-324]), requires_grad=True)
+            out = (ad.log(t) * 1.0).sum()
+            with pytest.raises(NonFiniteError) as info:
+                out.backward()
+        assert (info.value.op, info.value.phase) == ("log", "backward")

@@ -77,3 +77,57 @@ def test_allowlist_names_live_definitions():
         for name in _public_definitions(ast.parse(module.read_text()))
     }
     assert set(ALLOWED) <= defined
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import statement."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names the code reads, including those inside quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for field in ("annotation", "returns"):
+            annotation = getattr(node, field, None)
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                quoted = ast.parse(annotation.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text())
+        loaded = _loaded_names(tree)
+        for name, line in _imported_names(tree).items():
+            if name not in loaded:
+                unused.append(f"{module.relative_to(REPO)}:{line}: {name}")
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_unused_import_check_sees_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .runtime import Checkpoint\n"
+        "def f(c: 'Checkpoint | None') -> None:\n"
+        "    return TYPE_CHECKING\n"
+    )
+    loaded = _loaded_names(tree)
+    assert [n for n in _imported_names(tree) if n not in loaded] == ["np"]

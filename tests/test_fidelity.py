@@ -273,24 +273,27 @@ class TestWarmPromotionEquivalence:
         assert result.epochs_spent == 7
         assert result.epochs_saved == 5
 
-    def test_survivor_snapshot_stops_at_last_partial_budget(self, tmp_path):
+    def test_survivor_snapshot_stops_at_last_partial_budget(self, tmp_path, monkeypatch):
         """The final rung reads the last partial snapshot but writes none:
-        nothing measures a full-fidelity candidate again."""
+        nothing measures a full-fidelity candidate again.  The completed
+        ladder then deletes every snapshot it wrote."""
         from repro.runtime import WarmStore
 
+        epochs = {}
+        original = WarmStore.save
+
+        def recording_save(store, arch_hyper, task, config, state):
+            epochs[arch_hyper.key()] = int(state["epoch"])
+            original(store, arch_hyper, task, config, state)
+
+        monkeypatch.setattr(WarmStore, "save", recording_save)
         _, result = self._ladder(
             ProxyEvaluator(workers=1, cache=None), tmp_path, "final"
         )
-        store = WarmStore(tmp_path / "warm-final")
-        task = _toy_task()
-        config = ProxyConfig(epochs=3, batch_size=32)
-        epochs = {
-            ah.key(): int(store.load(ah, task, config)["epoch"])
-            for ah in _candidates(4)
-        }
         for ah, fidelity in zip(_candidates(4), result.fidelities):
             # Ladder 1 -> 2 -> 3: a survivor's lineage ends at epoch 2.
             assert epochs[ah.key()] == min(fidelity, 2)
+        assert not list((tmp_path / "warm-final").glob("*.warm.pkl"))
 
     def test_pool_matches_serial_bitwise(self, tmp_path):
         serial_ref, serial = self._ladder(
@@ -610,8 +613,60 @@ class TestServiceCollect:
         runtime = {"proxy_epochs": 2, "proxy_batch_size": 32}
         self._collect(engine, runtime)
         assert not list((tmp_path / "ckpt").rglob("*.warm.pkl"))
-        self._collect(engine, {**runtime, "fidelity_schedule": "2:2:1"})
-        assert list((tmp_path / "ckpt").rglob("*.warm.pkl"))
+
+    def test_finished_scheduled_collect_leaves_no_warm_snapshot(self, tmp_path):
+        # A killed 3:3:1 collect keeps its rung-0 snapshots so that the
+        # restarted job warm-resumes; once the ladder completes they go, and
+        # the result equals an uninterrupted run's.
+        from repro.service import Daemon, Engine, ServiceDB
+        from repro.experiments.config import SCALES
+        from tests.test_service import InterruptAfter, Service, _artifacts, _task_spec
+
+        payload = {
+            "kind": "collect",
+            "task": _task_spec(),
+            "options": {"n_samples": 4},
+            "runtime": {
+                "proxy_epochs": 3,
+                "proxy_batch_size": 32,
+                "fidelity_schedule": "3:3:1",
+            },
+        }
+        reference_service = Service(tmp_path / "ref")
+        _, submitted = reference_service.request("/jobs", payload)
+        reference = reference_service.wait_for(submitted["job"]["id"])["result"]
+        reference_service.close()
+        assert not list((tmp_path / "ref" / "ckpt").rglob("*.warm.pkl"))
+
+        # Rung 0 measures all 4 candidates at 1 epoch; the kill lands on the
+        # first rung-1 evaluation.
+        crashed = Service(
+            tmp_path / "crash",
+            eval_fn=InterruptAfter(measure_arch_hyper, after=4),
+            start_daemon=False,
+        )
+        _, submitted = crashed.request("/jobs", payload)
+        with pytest.raises(KeyboardInterrupt):
+            crashed.daemon.run_once()
+        crashed.api.stop()
+        warm = tmp_path / "crash" / "ckpt"
+        assert len(list(warm.rglob("*.warm.pkl"))) == 4
+
+        engine = Engine(
+            _artifacts(),
+            SCALES["smoke"],
+            checkpoint_dir=warm,
+            cache_enabled=False,
+        )
+        db = ServiceDB(tmp_path / "crash" / "registry.sqlite")
+        db.recover_orphans()
+        assert Daemon(db, engine, poll_interval=0.01).run_once()
+        final = db.get_job(submitted["job"]["id"])
+        assert final["status"] == "done"
+        assert final["metrics"]["eval.resumed"]["value"] == 4
+        assert db.get_result(final["fingerprint"]) == reference
+        assert not list(warm.rglob("*.warm.pkl"))
+        db.close()
 
 
 # ----------------------------------------------------------------------

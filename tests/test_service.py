@@ -243,6 +243,32 @@ class TestRankJob:
             json.dumps([ah.to_dict() for ah in outcome.candidates])
         )
 
+    def test_only_a_queued_rank_writes_its_checkpoint(self, service, monkeypatch):
+        # Nothing resumes an in-request rank, so POST /rank saves no
+        # per-generation checkpoint; a daemon rank job still does.
+        from repro.runtime import Checkpoint
+
+        saved = []
+        original = Checkpoint.save
+
+        def counting_save(checkpoint, state):
+            saved.append(checkpoint.path.name)
+            original(checkpoint, state)
+
+        monkeypatch.setattr(Checkpoint, "save", counting_save)
+        status, body = service.request(
+            "/rank", {"task": _task_spec(), "options": {"top_k": 2}}
+        )
+        assert status == 200 and not body["deduped"]
+        assert saved == []
+        status, body = service.request(
+            "/jobs", {"kind": "rank", "task": _task_spec(), "options": {"top_k": 1}}
+        )
+        assert status in (200, 202)
+        result = service.wait_for(body["job"]["id"])
+        assert result["job"]["status"] == "done"
+        assert saved and all(name.startswith("job-") for name in saved)
+
     def test_sync_rank_dedup_zero_new_encoder_forwards(self, service):
         payload = {"task": _task_spec(), "options": {"top_k": 1}}
         status, first = service.request("/rank", payload, tenant="alice")

@@ -15,6 +15,7 @@ import pytest
 from repro.service.db import (
     IllegalTransitionError,
     LEGAL_TRANSITIONS,
+    MIGRATIONS,
     RegistryCorruptError,
     RegistryError,
     SCHEMA_VERSION,
@@ -45,7 +46,42 @@ class TestMigration:
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
         }
-        assert {"jobs", "tasks", "results"} <= tables
+        assert {"jobs", "results"} <= tables
+        assert "tasks" not in tables
+
+    def test_previous_schema_migrates_with_jobs_and_results_intact(self, tmp_path):
+        path = tmp_path / "registry.sqlite"
+        conn = sqlite3.connect(path)
+        for statement in (*MIGRATIONS[0], *MIGRATIONS[1]):
+            conn.execute(statement)
+        conn.execute("PRAGMA user_version = 2")
+        conn.execute(
+            "INSERT INTO jobs (id, fingerprint, kind, payload, status, created, "
+            "updated) VALUES ('job-1', 'fp-1', 'rank', '{}', 'done', 1.0, 2.0)"
+        )
+        conn.execute(
+            "INSERT INTO results (fingerprint, job_id, kind, body, created) "
+            "VALUES ('fp-1', 'job-1', 'rank', '{\"best\": 1}', 2.0)"
+        )
+        conn.execute(
+            "INSERT INTO tasks (fingerprint, name, spec, created) "
+            "VALUES ('t-1', 'X', '{}', 1.0)"
+        )
+        conn.commit()
+        conn.close()
+        db = ServiceDB(path)
+        connection = db._connection()
+        assert connection.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
+        tables = {
+            row[0]
+            for row in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "tasks" not in tables
+        job = db.get_job("job-1")
+        assert (job["fingerprint"], job["status"]) == ("fp-1", "done")
+        assert db.get_result("fp-1") == {"best": 1}
 
     def test_reopen_is_idempotent(self, tmp_path):
         _submit(_db(tmp_path))
