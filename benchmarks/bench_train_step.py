@@ -5,7 +5,8 @@ sampled forecaster on a synthetic CTS task under two kernel
 configurations:
 
 * ``reference`` — the pre-optimization paths: per-tap Python conv loops and
-  unfused elementwise chains (``$REPRO_REFERENCE_KERNELS``),
+  unfused elementwise chains, swapped in by
+  :func:`reference_kernels.reference_kernels`,
 * ``optimized`` — im2col single-gemm convolutions + fused kernels.
 
 Both run the same batches from the same seeds.  A separate profiled run
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +51,12 @@ from repro.nn.loss import mae_loss
 from repro.obs import MetricsRegistry, metrics_scope
 from repro.obs.profile import profile
 from repro.optim import Adam, clip_grad_norm
-from repro.settings import ENV_VARS
 from repro.space import ArchHyper
 from repro.space.arch import Architecture, Edge
 from repro.space.hyperparams import HyperParameters
 from repro.tasks import Task
 
-REFERENCE_KERNELS_ENV = ENV_VARS["reference_kernels"]
+from reference_kernels import reference_kernels
 
 RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
 # --check fails when the optimized kernels' median speedup over the reference
@@ -147,9 +147,7 @@ def run_mode(
     steps: int,
 ) -> float:
     """Time ``steps`` full training steps; returns the median step time."""
-    previous_env = os.environ.get(REFERENCE_KERNELS_ENV)
-    os.environ[REFERENCE_KERNELS_ENV] = "1" if reference else "0"
-    try:
+    with reference_kernels() if reference else nullcontext():
         model = build_forecaster(arch_hyper, task.data, task.horizon, seed=0)
         model.train()
         optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=1e-4)
@@ -168,11 +166,6 @@ def run_mode(
         # Median, not mean: one scheduler hiccup on a shared box would
         # otherwise dominate a 10-step sample.
         return float(np.median(durations))
-    finally:
-        if previous_env is None:
-            del os.environ[REFERENCE_KERNELS_ENV]
-        else:
-            os.environ[REFERENCE_KERNELS_ENV] = previous_env
 
 
 def profile_section(task: Task, arch_hyper, batches: list, steps: int = 5) -> dict:

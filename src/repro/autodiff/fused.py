@@ -9,35 +9,25 @@ floating-point operations in the same order* as the chain it replaces — so
 fused and unfused paths are bitwise identical, forward and backward — while
 eliminating the intermediate ``Tensor`` bookkeeping.
 
-Two switches fall back to the unfused chains:
-
-* ``$REPRO_REFERENCE_KERNELS`` — the honest "before" path used by
-  ``benchmarks/bench_train_step.py`` and the equivalence tests,
-* anomaly mode — the unfused chain names the exact op (``tanh``,
-  ``sigmoid``, ``mul``, ...) in :class:`~repro.autodiff.anomaly.NonFiniteError`
-  provenance, which fusion would coarsen.
+Anomaly mode falls back to the unfused chains: they name the exact op
+(``tanh``, ``sigmoid``, ``mul``, ...) in
+:class:`~repro.autodiff.anomaly.NonFiniteError` provenance, which fusion
+would coarsen.  The train-step benchmark swaps them in for its "before"
+side ("Reference kernels" in ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..settings import Settings
 from .anomaly import anomaly_enabled
 from .tensor import Tensor, _needs_grad, as_tensor, make_op, unbroadcast
 
 
-def reference_kernels() -> bool:
-    """Whether ``$REPRO_REFERENCE_KERNELS`` forces the pre-optimization
-    kernel paths (per-tap conv loops, unfused elementwise chains).  Read on
-    every call: the train-step benchmark flips it between rounds."""
-    return Settings.read("reference_kernels")
-
-
 def fused_kernels_enabled() -> bool:
-    """Fused kernels are on unless the reference switch or anomaly mode
-    (which needs per-op provenance) asks for the unfused chains."""
-    return not (reference_kernels() or anomaly_enabled())
+    """Fused kernels are on unless anomaly mode, which needs per-op
+    provenance, asks for the unfused chains."""
+    return not anomaly_enabled()
 
 
 def gated_tanh_sigmoid(filter_in, gate_in) -> Tensor:

@@ -61,10 +61,6 @@ class AHC(Module):
         features = self.pair_fc(concat([emb_a, emb_b], axis=-1)).relu()
         return self.classifier(features).reshape(-1)
 
-    def pair_features(self, enc_a: Encodings, enc_b: Encodings) -> Tensor:
-        """Concatenated GIN embeddings of the two candidates (Eq. 16)."""
-        return concat([self.embed(enc_a), self.embed(enc_b)], axis=-1)
-
     def forward(self, enc_a: Encodings, enc_b: Encodings) -> Tensor:
         """Logits (B,): positive means the first candidate is judged better.
 

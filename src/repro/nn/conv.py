@@ -5,18 +5,15 @@ CTS forecasting models in this library follow the Graph WaveNet tensor layout
 kernels of shape ``(1, K)`` with dilation along the time axis and *causal*
 left-padding so that position ``t`` never sees the future.
 
-Two kernel implementations coexist (see ``docs/performance.md``):
-
-* the **im2col path** (default): :func:`im2col_conv` gathers the dilated
-  taps with ``np.lib.stride_tricks.sliding_window_view`` into one
-  ``(B, C·K, S)`` matrix and runs a *single* gemm per conv — with a col2im
-  scatter for the input gradient — instead of a Python loop of ``K``
-  per-tap matmuls; :func:`channel_mix` is the 1x1 special case (no gather
-  at all, just a reshaped gemm),
-* the **reference path**: the original per-tap loop composed from autodiff
-  primitives, selected by ``$REPRO_REFERENCE_KERNELS``.  It is the oracle
-  the equivalence tests compare against and the honest "before" measured by
-  ``benchmarks/bench_train_step.py``.
+Every convolution runs the im2col kernels (see ``docs/performance.md``):
+:func:`im2col_conv` gathers the dilated taps with
+``np.lib.stride_tricks.sliding_window_view`` into one ``(B, C·K, S)``
+matrix and runs a *single* gemm per conv — with a col2im scatter for the
+input gradient — instead of a Python loop of ``K`` per-tap matmuls;
+:func:`channel_mix` is the 1x1 special case (no gather at all, just a
+reshaped gemm).  The original per-tap loops live on outside ``src/`` as
+the test and benchmark oracle ("Reference kernels" in
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..autodiff import Tensor, matmul, pad
-from ..autodiff.fused import reference_kernels
+from ..autodiff import Tensor
 from ..autodiff.tensor import _needs_grad, as_tensor, make_op
 from . import init
 from .module import Module, Parameter
@@ -108,7 +104,7 @@ def channel_mix(x, weight) -> Tensor:
     """1x1 convolution ``(C_out, C_in)`` over ``x (B, C_in, *spatial)``.
 
     The im2col degenerate case: no tap gather, just one gemm against the
-    channel axis through a free reshape — replacing the reference path's
+    channel axis through a free reshape — replacing the reference kernel's
     transpose → matmul → transpose round trip.
     """
     x, weight = as_tensor(x), as_tensor(weight)
@@ -133,65 +129,6 @@ def channel_mix(x, weight) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the original per-tap autodiff-primitive composition
-# ---------------------------------------------------------------------------
-
-
-def _mix_channels(x: Tensor, weight: Tensor) -> Tensor:
-    """Apply a (C_out, C_in) channel mix to ``x`` of shape (B, C_in, N, T)."""
-    moved = x.transpose(0, 2, 3, 1)  # (B, N, T, C_in)
-    mixed = matmul(moved, weight.transpose())  # (B, N, T, C_out)
-    return mixed.transpose(0, 3, 1, 2)
-
-
-def _conv2d_1xk_reference(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    dilation: int,
-    causal: bool,
-) -> Tensor:
-    kernel = weight.shape[-1]
-    receptive = (kernel - 1) * dilation
-    if causal:
-        x = pad(x, ((0, 0), (0, 0), (0, 0), (receptive, 0)))
-    time = x.shape[-1] - receptive
-    out = None
-    for k in range(kernel):
-        start = k * dilation
-        window = x[:, :, :, start : start + time]
-        term = _mix_channels(window, weight[:, :, k])
-        out = term if out is None else out + term
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    return out
-
-
-def _conv1d_reference(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    dilation: int,
-    left: int,
-    right: int,
-) -> Tensor:
-    kernel = weight.shape[-1]
-    receptive = (kernel - 1) * dilation
-    x = pad(x, ((0, 0), (0, 0), (left, right)))
-    time = x.shape[-1] - receptive
-    out = None
-    for k in range(kernel):
-        start = k * dilation
-        window = x[:, :, start : start + time]  # (B, C_in, T)
-        moved = window.transpose(0, 2, 1)  # (B, T, C_in)
-        term = matmul(moved, weight[:, :, k].transpose()).transpose(0, 2, 1)
-        out = term if out is None else out + term
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Public functional convolutions
 # ---------------------------------------------------------------------------
 
@@ -208,8 +145,6 @@ def conv2d_1xk(
     With ``causal=True`` the output at time ``t`` depends only on inputs at
     times ``<= t`` and the output length equals the input length.
     """
-    if reference_kernels():
-        return _conv2d_1xk_reference(x, weight, bias, dilation, causal)
     weight = as_tensor(weight)
     receptive = (weight.shape[-1] - 1) * dilation
     out = im2col_conv(x, weight, dilation, left=receptive if causal else 0)
@@ -239,8 +174,6 @@ def conv1d(
         right = receptive - left
     else:
         raise ValueError(f"unknown padding mode: {padding!r}")
-    if reference_kernels():
-        return _conv1d_reference(x, weight, bias, dilation, left, right)
     out = im2col_conv(x, weight, dilation, left=left, right=right)
     if bias is not None:
         out = out + bias.reshape(1, -1, 1)
@@ -295,10 +228,7 @@ class PointwiseConv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if reference_kernels():
-            out = _mix_channels(x, self.weight)
-        else:
-            out = channel_mix(x, self.weight)
+        out = channel_mix(x, self.weight)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out

@@ -18,8 +18,8 @@ def mae_loss(prediction: Tensor, target) -> Tensor:
     target = as_tensor(target)
     if fused_kernels_enabled():
         return mean_absolute_error(prediction, target)
-    # Unfused chain: bitwise-identical; kept for anomaly-mode provenance and
-    # the $REPRO_REFERENCE_KERNELS benchmark baseline.
+    # Unfused chain: bitwise-identical; kept for anomaly-mode provenance,
+    # and the "before" of the train-step benchmark (docs/performance.md).
     return mean(absolute(prediction - target))
 
 

@@ -9,7 +9,6 @@ diffusion orders are mixed back to the hidden width by a 1x1 convolution.
 from __future__ import annotations
 
 from ..autodiff import Tensor, concat, matmul, relu, softmax
-from ..autodiff.fused import reference_kernels
 from ..nn import init
 from ..nn.conv import PointwiseConv2d
 from ..nn.dropout import Dropout
@@ -19,12 +18,6 @@ from .base import OperatorContext, STOperator
 
 def graph_propagate(x: Tensor, support: Tensor) -> Tensor:
     """One diffusion step: ``out[:, :, n, :] = sum_m support[n, m] x[:, :, m, :]``."""
-    if reference_kernels():
-        # Pre-optimization formulation: rotate the node axis last, multiply
-        # by the transposed support, rotate back.
-        moved = x.transpose(0, 1, 3, 2)  # (B, H, T, N)
-        propagated = matmul(moved, support.transpose())
-        return propagated.transpose(0, 1, 3, 2)
     # (N, N) @ (B, H, N, T) broadcasts over the batch dims and contracts the
     # node axis in place — same contraction, no transpose round trip.
     return matmul(support, x)

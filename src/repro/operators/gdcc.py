@@ -40,7 +40,8 @@ class GDCC(STOperator):
             gated = gated_tanh_sigmoid(self.filter_conv(x), self.gate_conv(x))
             return self.dropout(gated)
         # Unfused chain: bitwise-identical; kept for anomaly-mode per-op
-        # provenance and the $REPRO_REFERENCE_KERNELS benchmark baseline.
+        # provenance, and the "before" of the train-step benchmark
+        # (docs/performance.md).
         filtered = self.filter_conv(x).tanh()
         gate = self.gate_conv(x).sigmoid()
         return self.dropout(filtered * gate)

@@ -137,7 +137,6 @@ class Settings:
     )
     profile: bool = _env("REPRO_PROFILE", _flag, False)
     anomaly: bool = _env("REPRO_ANOMALY", _flag, False)
-    reference_kernels: bool = _env("REPRO_REFERENCE_KERNELS", _flag, False)
     trace: str | None = _env("REPRO_TRACE", str)
     # Service client (docs/service.md).
     service_url: str = _env("REPRO_SERVICE_URL", str, "http://127.0.0.1:8737")
@@ -146,9 +145,8 @@ class Settings:
     def read(cls, name: str, environ: Mapping[str, str] | None = None):
         """One field as :meth:`from_env` would resolve it, parsed alone.
 
-        For the few readers that cannot afford the whole set: the per-call
-        reference-kernel switch, and the anomaly/profiling process defaults
-        taken at import.
+        For the readers that cannot afford the whole set: the anomaly and
+        profiling process defaults taken at import.
         """
         variable, coerce, default = _SPECS[name]
         raw = (os.environ if environ is None else environ).get(variable, "").strip()

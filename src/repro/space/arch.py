@@ -106,10 +106,6 @@ class Architecture:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def has_spatial_operator(self) -> bool:
         return any(edge.op in S_OPERATORS for edge in self.edges)
 

@@ -1,11 +1,13 @@
 """Every public definition in ``src/repro`` has a caller outside the tests.
 
-A public top-level function or class counts as used when some program file
-other than its own module names it as a whole word: a module under
-``src/repro`` or a script under ``benchmarks/``, ``examples/`` or
-``scripts/``.  ``__init__`` re-exports do not count, so a name that only the
-tests call fails here and is either deleted with its tests or tied to a
-product path.  The allowlist names the few exceptions and why each stays.
+A public top-level function or class, or a public method of a public
+top-level class, counts as used when its own module's code names it or some
+other program file names it as a whole word: a module under ``src/repro``
+or a script under ``benchmarks/``, ``examples/`` or ``scripts/``.
+``__init__`` re-exports do not count, so a name that only the tests call
+fails here and is either deleted with its tests or tied to a product path.
+The allowlist names the few exceptions (methods as ``Class.method``) and why
+each stays.
 """
 
 from __future__ import annotations
@@ -21,16 +23,36 @@ CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
 ALLOWED = {
     "check_gradients": "test oracle: every op's gradient test runs against it",
     "pairwise_win_matrix": "test oracle: the ranking engine is held bitwise equal to it",
+    "RankingEngine.cached_candidates": (
+        "test probe: TestEncoderForwardCounts inspects the embedding cache with it"
+    ),
+    "RankingEngine.clear_cache": (
+        "the invalidation hook the module docstring and docs/comparator.md name "
+        "for a comparator whose weights change under a live engine"
+    ),
+    "TrainResult.epochs_trained": "test probe: the early-stopping restore test reads it",
+    "CorruptionResult.corrupted_fraction": "test probe: the injector tests read it",
+    "StandardScaler.fit_transform": "test probe: the scaler round-trip tests use it",
 }
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _public_definitions(tree: ast.Module) -> list[str]:
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(allowlist key, name)`` of each public top-level function and class
+    and of each public method of a public top-level class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)) or node.name.startswith("_"):
+            continue
+        found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{method.name}", method.name)
+                for method in node.body
+                if isinstance(method, _FUNCTIONS) and not method.name.startswith("_")
+            ]
+    return found
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
@@ -61,20 +83,20 @@ def test_every_public_definition_has_a_program_caller():
             continue
         tree = ast.parse(module.read_text())
         own = _referenced_names(tree)
-        for name in _public_definitions(tree):
-            if name in ALLOWED or name in own:
+        for key, name in _public_definitions(tree):
+            if key in ALLOWED or name in own:
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text) for path, text in texts.items() if path != module):
-                unused.append(f"{module.relative_to(REPO)}: {name}")
+                unused.append(f"{module.relative_to(REPO)}: {key}")
     assert not unused, "no program file names:\n" + "\n".join(unused)
 
 
 def test_allowlist_names_live_definitions():
     defined = {
-        name
+        key
         for module in PACKAGE.rglob("*.py")
-        for name in _public_definitions(ast.parse(module.read_text()))
+        for key, _ in _public_definitions(ast.parse(module.read_text()))
     }
     assert set(ALLOWED) <= defined
 

@@ -375,7 +375,7 @@ class TestEvolutionResume:
         initial_samples=8, population_size=4, generations=3,
         offspring_per_generation=4, top_k=2,
     )
-    SCORE = staticmethod(lambda ah: -ah.hyper.hidden_dim - 0.1 * ah.arch.num_edges)
+    SCORE = staticmethod(lambda ah: -ah.hyper.hidden_dim - 0.1 * len(ah.arch.edges))
 
     def test_interrupted_search_resumes_bitwise(self, tmp_path):
         reference = EvolutionarySearch(

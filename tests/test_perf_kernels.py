@@ -5,10 +5,16 @@ Two kinds of guarantees:
 
 * every new fused / im2col op has a correct backward pass
   (central-difference gradient checks in float64),
-* the im2col kernels agree with the reference per-tap loop kernels to
-  float tolerance, and the fused chains are *bitwise* identical to the
-  unfused chains they replace.
+* the im2col kernels agree with the per-tap reference kernels of
+  ``benchmarks/reference_kernels.py`` to float tolerance, and the fused
+  chains are *bitwise* identical to the unfused chains they replace.
+
+The reference module's swap, which the train-step benchmark times as its
+"before", is tested here too, so a renamed program name fails tier-1.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,20 +24,19 @@ from repro.autodiff.fused import (
     fused_kernels_enabled,
     gated_tanh_sigmoid,
     mean_absolute_error,
-    reference_kernels,
 )
-from repro.nn.conv import (
-    CausalConv2d,
-    Conv1d,
-    PointwiseConv2d,
-    channel_mix,
-    conv1d,
-    conv2d_1xk,
-    im2col_conv,
-)
-from repro.settings import ENV_VARS
+from repro.nn.conv import channel_mix, conv1d, conv2d_1xk, im2col_conv
+from repro.nn.loss import mae_loss
+from repro.obs import MetricsRegistry, metrics_scope
+from repro.obs.profile import profile
+from repro.operators import DGCN, GDCC, OperatorContext, graph_propagate
 
-REFERENCE_KERNELS_ENV = ENV_VARS["reference_kernels"]
+REFERENCE_KERNELS = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "reference_kernels.py"
+)
+_spec = importlib.util.spec_from_file_location("reference_kernels", REFERENCE_KERNELS)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 RNG = np.random.default_rng(23)
 
@@ -90,14 +95,12 @@ class TestIm2colGradients:
 class TestIm2colMatchesReference:
     """The im2col path reproduces the per-tap reference loop numerically."""
 
-    def _compare(self, fn, inputs, monkeypatch):
+    def _compare(self, fast_fn, ref_fn, inputs):
         fast_in = [Tensor(x.copy(), requires_grad=True) for x in inputs]
-        fast = fn(*fast_in)
+        fast = fast_fn(*fast_in)
         fast.sum().backward()
-        monkeypatch.setenv(REFERENCE_KERNELS_ENV, "1")
-        assert reference_kernels()
         ref_in = [Tensor(x.copy(), requires_grad=True) for x in inputs]
-        ref = fn(*ref_in)
+        ref = ref_fn(*ref_in)
         ref.sum().backward()
         np.testing.assert_allclose(fast.data, ref.data, rtol=1e-10, atol=1e-12)
         for fast_t, ref_t in zip(fast_in, ref_in):
@@ -106,37 +109,96 @@ class TestIm2colMatchesReference:
             )
 
     @pytest.mark.parametrize("kernel,dilation", [(2, 1), (3, 2)])
-    def test_conv2d_1xk(self, kernel, dilation, monkeypatch):
+    def test_conv2d_1xk(self, kernel, dilation):
         self._compare(
             lambda x, w, b: conv2d_1xk(x, w, b, dilation=dilation),
+            lambda x, w, b: reference.conv2d_1xk(x, w, b, dilation=dilation),
             [_rand(2, 3, 5, 12), _rand(4, 3, kernel), _rand(4)],
-            monkeypatch,
         )
 
     @pytest.mark.parametrize("padding", ["same", "causal"])
-    def test_conv1d(self, padding, monkeypatch):
+    def test_conv1d(self, padding):
         self._compare(
             lambda x, w, b: conv1d(x, w, b, dilation=2, padding=padding),
+            lambda x, w, b: reference.conv1d(x, w, b, dilation=2, padding=padding),
             [_rand(3, 4, 16), _rand(5, 4, 3), _rand(5)],
-            monkeypatch,
         )
 
-    def test_pointwise(self, monkeypatch):
-        layer = PointwiseConv2d(3, 5, rng=np.random.default_rng(7))
-        x = _rand(2, 3, 4, 6).astype(np.float32)
-        fast = layer(Tensor(x)).numpy()
-        monkeypatch.setenv(REFERENCE_KERNELS_ENV, "1")
-        ref = layer(Tensor(x)).numpy()
-        np.testing.assert_allclose(fast, ref, rtol=1e-6, atol=1e-7)
+    def test_pointwise(self):
+        self._compare(
+            channel_mix, reference.mix_channels, [_rand(2, 3, 4, 6), _rand(5, 3)]
+        )
 
-    def test_layers_use_reference_path_under_env(self, monkeypatch):
-        """$REPRO_REFERENCE_KERNELS swaps the layer-level kernel too."""
-        monkeypatch.setenv(REFERENCE_KERNELS_ENV, "1")
-        layer = CausalConv2d(3, 4, kernel_size=2, rng=np.random.default_rng(3))
-        out = layer(Tensor(_rand(2, 3, 4, 8)))
-        assert out.shape == (2, 4, 4, 8)
-        conv = Conv1d(3, 4, kernel_size=3, rng=np.random.default_rng(3))
-        assert conv(Tensor(_rand(2, 3, 10))).shape == (2, 4, 10)
+    def test_graph_propagate(self):
+        self._compare(
+            graph_propagate,
+            reference.graph_propagate,
+            [_rand(2, 3, 5, 7), _rand(5, 5)],
+        )
+
+
+class TestReferenceSwap:
+    """``reference_kernels()`` rebinds program names for a block, and only
+    for the block."""
+
+    def test_every_target_is_live(self):
+        for module, name, oracle in reference.SWAPS:
+            assert callable(vars(module).get(name)), f"{module.__name__}.{name}"
+            assert getattr(module, name) is not oracle
+
+    def _step(self, operators, params, x, y):
+        registry = MetricsRegistry()
+        with metrics_scope(registry), profile(True):
+            gdcc, dgcn = operators
+            loss = mae_loss(dgcn(gdcc(Tensor(x))), y)
+            loss.backward()
+        ops = {
+            name.split(".")[2]
+            for name in registry.snapshot()
+            if name.startswith("profile.ops.")
+        }
+        grads = [p.grad.copy() for p in params]
+        for p in params:
+            p.grad = None
+        return loss.item(), grads, ops
+
+    def test_step_matches_product_path(self):
+        """A float64 GDCC (causal convs) + DGCN + MAE step on the reference
+        kernels equals the product step, and runs none of the optimized
+        kernels."""
+        rng = np.random.default_rng(5)
+        support = rng.random((5, 5))
+        support /= support.sum(axis=1, keepdims=True)
+        context = OperatorContext(4, 5, [support], rng=rng)
+        operators = (GDCC(context, kernel_size=2, dilation=2), DGCN(context))
+        params = [p for op in operators for p in op.parameters()]
+        for p in params:
+            p.data = p.data.astype(np.float64)
+        x, y = _rand(2, 4, 5, 8), _rand(2, 4, 5, 8)
+
+        loss, grads, ops = self._step(operators, params, x, y)
+        with reference.reference_kernels():
+            ref_loss, ref_grads, ref_ops = self._step(operators, params, x, y)
+
+        np.testing.assert_allclose(ref_loss, loss, rtol=1e-10)
+        for grad, ref_grad in zip(grads, ref_grads):
+            np.testing.assert_allclose(ref_grad, grad, rtol=1e-10, atol=1e-12)
+        optimized = {
+            "im2col_conv", "channel_mix", "gated_tanh_sigmoid", "mean_absolute_error"
+        }
+        assert optimized <= ops and not optimized & ref_ops
+        assert {"tanh", "sigmoid", "absolute"} <= ref_ops
+
+    def test_names_restored_after_the_block(self):
+        originals = [getattr(module, name) for module, name, _ in reference.SWAPS]
+        with reference.reference_kernels():
+            for module, name, oracle in reference.SWAPS:
+                assert getattr(module, name) is oracle
+        with pytest.raises(RuntimeError, match="boom"):
+            with reference.reference_kernels():
+                raise RuntimeError("boom")
+        current = [getattr(module, name) for module, name, _ in reference.SWAPS]
+        assert all(a is b for a, b in zip(current, originals))
 
 
 class TestFusedKernels:
@@ -190,10 +252,6 @@ class TestFusedKernels:
         loss = mean_absolute_error(p, _rand(4, 3))
         loss.backward()
         assert p.grad.shape == (4, 3)
-
-    def test_fusion_disabled_by_reference_env(self, monkeypatch):
-        monkeypatch.setenv(REFERENCE_KERNELS_ENV, "1")
-        assert not fused_kernels_enabled()
 
     def test_fusion_disabled_under_anomaly_mode(self):
         from repro.autodiff.anomaly import detect_anomaly

@@ -77,7 +77,7 @@ class TestRoundRobin:
 class TestEvolutionarySearch:
     def test_oracle_comparator_finds_optimum(self):
         """With a perfect comparator the EA must land on top candidates."""
-        score = lambda ah: -ah.hyper.hidden_dim - 0.1 * ah.arch.num_edges
+        score = lambda ah: -ah.hyper.hidden_dim - 0.1 * len(ah.arch.edges)
         search = EvolutionarySearch(
             TINY_SPACE,
             _oracle_compare(score),

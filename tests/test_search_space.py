@@ -170,7 +170,7 @@ class TestEncoding:
     def test_hyper_node_connects_to_all_operators(self):
         ah = self._sample()
         enc = encode_arch_hyper(ah)
-        n_ops = ah.arch.num_edges
+        n_ops = len(ah.arch.edges)
         for i in range(1, n_ops + 1):
             assert enc.adjacency[HYPER_NODE, i] == 1.0
             assert enc.adjacency[i, HYPER_NODE] == 1.0
@@ -192,7 +192,7 @@ class TestEncoding:
     def test_padding_is_zero(self):
         ah = self._sample()
         enc = encode_arch_hyper(ah)
-        real = ah.arch.num_edges + 1
+        real = len(ah.arch.edges) + 1
         assert enc.adjacency[real:, :].sum() == 0
         assert enc.adjacency[:, real:].sum() == 0
         assert (enc.op_indices[real:] == -1).all()
@@ -201,7 +201,7 @@ class TestEncoding:
         ah = self._sample()
         enc = encode_arch_hyper(ah)
         real_ops = enc.op_indices[enc.op_indices >= 0]
-        assert len(real_ops) == ah.arch.num_edges
+        assert len(real_ops) == len(ah.arch.edges)
         assert (real_ops < len(CANDIDATE_OPERATORS)).all()
 
     def test_batch_encoding_stacks(self):
@@ -229,7 +229,7 @@ class TestEncoding:
     def test_every_sample_encodable(self, seed):
         ah = JointSearchSpace().sample(np.random.default_rng(seed))
         enc = encode_arch_hyper(ah)
-        assert int(enc.mask.sum()) == ah.arch.num_edges + 1
+        assert int(enc.mask.sum()) == len(ah.arch.edges) + 1
         assert int(enc.mask.sum()) <= MAX_ENCODING_NODES
 
 

@@ -33,7 +33,6 @@ MALFORMED = {
     "REPRO_METRICS_INTERVAL": "soon",
     "REPRO_PROFILE": "enabled",
     "REPRO_ANOMALY": "enabled",
-    "REPRO_REFERENCE_KERNELS": "maybe",
 }
 
 # Paths and free text: every non-empty string is a valid value.
@@ -50,7 +49,7 @@ FREE_TEXT = {
 
 class TestTypedErrors:
     def test_every_variable_is_covered(self):
-        assert len(ENV_VARS) == 17
+        assert len(ENV_VARS) == 16
         assert set(MALFORMED) | FREE_TEXT == set(ENV_VARS.values())
         assert not set(MALFORMED) & FREE_TEXT
 
@@ -113,7 +112,7 @@ class TestMeanings:
         assert settings.metrics_interval == 0.0  # 0 disables the sampler
 
     def test_read_agrees_with_from_env(self):
-        environ = {"REPRO_REFERENCE_KERNELS": "on", "REPRO_WORKERS": "4"}
+        environ = {"REPRO_ANOMALY": "on", "REPRO_WORKERS": "4"}
         settings = Settings.from_env(environ)
         for name in ENV_VARS:
             assert Settings.read(name, environ) == getattr(settings, name)
