@@ -12,31 +12,26 @@ workload (``STEPS`` win matrices over ``CANDIDATES`` candidates):
   :class:`SpanBuffer` under a correlation scope, with the metrics-history
   sampler thread persisting registry snapshots into a sqlite registry.
 
-The configurations take turns run by run, in a rotating order, so a slow
-spell of a shared host lands on all three alike.  A trial times each
-configuration as the best of its ``REPEATS`` runs and yields the paired
-ratios ``tracing/off`` and ``service/off``; the gate takes their medians
-over ``TRIALS`` trials against the budgets below.  The spread is the
-interquartile range of the paired ratios; it must stay below the budget's
-margin, because a gate whose noise exceeds its budget cannot tell a
-regression from luck.  The sampler runs at ``SAMPLER_INTERVAL``, well
-below the length of one run, so it writes snapshots inside every timed
-run; the gate fails if the timed runs recorded none.
-The bitwise half is asserted exactly: every configuration produces the
-same win matrices, and traced and untraced proxy evaluation the same
-scores.
+The configurations take turns run by run through :mod:`paired_gate`: a
+trial times each as the best of its ``REPEATS`` runs, and the gate takes
+the medians of the paired ratios ``tracing/off`` and ``service/off`` over
+``TRIALS`` trials against the budgets below, with their interquartile
+ranges within the budgets' margins.  The sampler runs at
+``SAMPLER_INTERVAL``, well below the length of one run, so it writes
+snapshots inside every timed run; the gate fails if the timed runs
+recorded none.  The bitwise half is asserted exactly: every configuration
+produces the same win matrices, traced and untraced proxy evaluation the
+same scores, and the dashboard renders.
 
-``--check`` runs the whole thing as a CI gate: non-zero exit when a median
-ratio exceeds its budget, a spread exceeds the budget's margin or the
-sampler wrote nothing while timed (bitwise mismatches already raise).
+``--check`` runs the whole thing as a CI gate: exit 1 when a median ratio
+exceeds its budget, a spread exceeds the budget's margin or the sampler
+wrote nothing while timed (bitwise mismatches already raise).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -57,6 +52,8 @@ from repro.obs import (
     tracer_scope,
 )
 from repro.space import JointSearchSpace
+
+import paired_gate
 
 CANDIDATES = 24
 STEPS = 8
@@ -135,43 +132,6 @@ class _Telemetry:
             self.db.close()
 
 
-def time_interleaved(trace_dir: Path) -> tuple[dict[str, list[float]], dict, int]:
-    """Per-trial wall times of every configuration, their win matrices, and
-    the snapshots the sampler wrote during the timed runs."""
-    space, model, candidates = _workload()
-    telemetry = {mode: _Telemetry(mode, trace_dir) for mode in MODES}
-    times: dict[str, list[float]] = {mode: [] for mode in MODES}
-    wins: dict[str, np.ndarray] = {}
-    try:
-        for mode in MODES:
-            with telemetry[mode].active():
-                _run_steps(space, model, candidates, WARMUP)
-        telemetry["service"].samples = 0  # count the timed runs only
-        for trial in range(TRIALS):
-            best = dict.fromkeys(MODES, float("inf"))
-            for repeat in range(REPEATS):
-                shift = (trial + repeat) % len(MODES)
-                for mode in MODES[shift:] + MODES[:shift]:
-                    with telemetry[mode].active():
-                        start = time.perf_counter()
-                        wins[mode] = _run_steps(space, model, candidates, STEPS)
-                        elapsed = time.perf_counter() - start
-                    best[mode] = min(best[mode], elapsed)
-            for mode in MODES:
-                times[mode].append(best[mode])
-    finally:
-        for entry in telemetry.values():
-            entry.close()
-    # The dashboard renders from the same snapshots; exercising it here
-    # keeps the gate honest about the whole enabled surface.
-    page = render_dashboard(
-        {"title": "bench", "jobs": {}, "workers": [],
-         "metrics": global_registry().snapshot(), "cache": {}, "traces": []}
-    )
-    assert "<html" in page
-    return times, wins, telemetry["service"].samples
-
-
 def _cheap_eval(arch_hyper, task, config):
     """Deterministic, instant eval derived from the content fingerprint."""
     from repro.runtime import proxy_fingerprint
@@ -204,71 +164,60 @@ def check_bitwise_scores() -> None:
     assert plain == traced, "tracing changed proxy scores"
 
 
-def run_overhead():
-    """The result table, per enabled mode ``(median ratio, spread)``, and
-    the sampler's snapshots during the timed runs."""
+def gate() -> list[str]:
+    """Time every configuration, print and save the table; why the gate
+    fails, one line per reason."""
+    space, model, candidates = _workload()
+    wins: dict[str, np.ndarray] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        times, wins, samples = time_interleaved(Path(tmp))
+        telemetry = {mode: _Telemetry(mode, Path(tmp)) for mode in MODES}
+
+        def run(mode: str) -> float:
+            with telemetry[mode].active():
+                start = time.perf_counter()
+                wins[mode] = _run_steps(space, model, candidates, STEPS)
+                return time.perf_counter() - start
+
+        try:
+            for mode in MODES:
+                with telemetry[mode].active():
+                    _run_steps(space, model, candidates, WARMUP)
+            telemetry["service"].samples = 0  # count the timed runs only
+            times = paired_gate.interleave(MODES, run, TRIALS, REPEATS)
+        finally:
+            for entry in telemetry.values():
+                entry.close()
+    samples = telemetry["service"].samples
     for mode in MODES[1:]:
         np.testing.assert_array_equal(wins["off"], wins[mode])
     check_bitwise_scores()
+    # The dashboard renders from the same snapshots; exercising it here
+    # keeps the gate honest about the whole enabled surface.
+    page = render_dashboard(
+        {"title": "bench", "jobs": {}, "workers": [],
+         "metrics": global_registry().snapshot(), "cache": {}, "traces": []}
+    )
+    assert "<html" in page
 
     table = ResultTable(title="Telemetry overhead (ranking hot path)")
     row = f"{STEPS} win matrices over {CANDIDATES} candidates, {TRIALS} trials"
     for mode in MODES:
         table.add(row, f"{mode} (median)", "value", f"{statistics.median(times[mode]) * 1e3:.1f}ms")
     table.add(row, "service sampler snapshots", "value", str(samples))
-    ratios = {}
-    for mode in MODES[1:]:
-        paired = [on / off for on, off in zip(times[mode], times["off"])]
-        q = statistics.quantiles(paired, n=4)
-        median = statistics.median(paired)
-        ratios[mode] = (median, q[2] - q[0])
-        table.add(row, f"{mode}/off ratio", "value", f"{median:.3f}")
-        table.add(row, f"{mode}/off IQR", "value", f"{q[0]:.3f}-{q[2]:.3f}")
-        table.add(row, f"{mode}/off budget", "value", f"{BUDGETS[mode]:.2f}")
-    return table, ratios, samples
-
-
-def gate_failures(ratios: dict, samples: int) -> list[str]:
-    """Why the gate fails, one line per reason; empty when it passes."""
     failures = []
     if samples == 0:
         failures.append("the metrics sampler wrote no snapshot during the timed runs")
-    for mode, (median, spread) in ratios.items():
-        budget = BUDGETS[mode]
-        if median > budget:
-            failures.append(f"{mode}/off median ratio {median:.3f} exceeds budget {budget:.2f}")
-        if spread > budget - 1.0:
-            failures.append(
-                f"{mode}/off spread {spread:.3f} exceeds the budget's margin "
-                f"{budget - 1.0:.2f}: too noisy to gate"
-            )
+    for mode in MODES[1:]:
+        ratio = paired_gate.paired_ratio(f"{mode}/off", times[mode], times["off"])
+        paired_gate.add_rows(table, row, ratio, BUDGETS[mode])
+        failures += paired_gate.ceiling_failures(ratio, BUDGETS[mode])
+    print_and_save(table, "trace_overhead")
     return failures
 
 
 def test_trace_overhead(benchmark):
-    table, ratios, samples = benchmark.pedantic(run_overhead, iterations=1, rounds=1)
-    print_and_save(table, "trace_overhead")
-    assert not gate_failures(ratios, samples)
+    assert not benchmark.pedantic(gate, iterations=1, rounds=1)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when a ratio exceeds its budget, a spread its "
-        "margin, or the sampler wrote nothing while timed",
-    )
-    args = parser.parse_args()
-    table, ratios, samples = run_overhead()
-    print_and_save(table, "trace_overhead")
-    for mode, (median, spread) in ratios.items():
-        print(f"{mode}/off ratio {median:.3f} (spread {spread:.3f}, budget {BUDGETS[mode]:.2f})")
-    print(f"service sampler snapshots during timed runs: {samples}")
-    failures = gate_failures(ratios, samples)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if args.check and failures:
-        sys.exit(1)
+    paired_gate.main(__doc__, gate)

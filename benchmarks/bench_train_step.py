@@ -19,10 +19,9 @@ collects per-kernel timings via the ``repro.obs.profile`` hooks.  Results are ma
   over the reference kernels, measured in that same run, falls below
   ``MIN_SPEEDUP_VS_REFERENCE``.
 
-The two modes take turns over ``rounds`` rounds, in a rotating order, so
-a slow spell of a shared host lands on all of them alike.  A speedup is the
-median of its per-round paired ratios, reported with their interquartile
-range.
+The two modes take turns over ``rounds`` rounds through :mod:`paired_gate`.
+A speedup is the median of its per-round paired ratios, reported with their
+interquartile range.
 
 Usage::
 
@@ -33,7 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
@@ -56,6 +54,7 @@ from repro.space.arch import Architecture, Edge
 from repro.space.hyperparams import HyperParameters
 from repro.tasks import Task
 
+import paired_gate
 from reference_kernels import reference_kernels
 
 RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
@@ -69,8 +68,7 @@ RESULTS_PATH = Path(__file__).parent / "results" / "train_step.json"
 # of 1.37-1.64x.
 MIN_SPEEDUP_VS_REFERENCE = 1.5
 
-# (name, reference kernels)
-MODES = (("reference", True), ("optimized", False))
+MODES = ("reference", "optimized")
 
 SIZES = {
     # Proxy-training-like size: the headline before/after measurement.
@@ -191,7 +189,8 @@ def profile_section(task: Task, arch_hyper, batches: list, steps: int = 5) -> di
     return {"profiled_steps": steps, "ops": ops, "top_forward": forwards[:10]}
 
 
-def run_size(size: str, with_profile: bool) -> dict:
+def run_size(size: str, with_profile: bool) -> tuple[dict, paired_gate.PairedRatio]:
+    """The JSON section of one size and its speedup."""
     spec = SIZES[size]
     task = _toy_task(spec["nodes"], spec["t"], spec["p"], spec["q"])
     arch_hyper = _bench_arch(spec["hidden"])
@@ -201,13 +200,11 @@ def run_size(size: str, with_profile: bool) -> dict:
     print(f"[{size}] nodes={spec['nodes']} t={spec['t']} "
           f"batch={spec['batch_size']} hidden={spec['hidden']} "
           f"steps={spec['steps']} rounds={spec['rounds']}")
-    runs = {name: [] for name, _ in MODES}
-    for round_ in range(spec["rounds"]):
-        shift = round_ % len(MODES)
-        for name, reference in MODES[shift:] + MODES[:shift]:
-            runs[name].append(
-                run_mode(task, arch_hyper, batches, reference=reference, **common)
-            )
+
+    def run(mode: str) -> float:
+        return run_mode(task, arch_hyper, batches, reference=mode == "reference", **common)
+
+    runs = paired_gate.interleave(MODES, run, spec["rounds"])
 
     modes = {}
     for name, per_round in runs.items():
@@ -223,67 +220,49 @@ def run_size(size: str, with_profile: bool) -> dict:
             f"({per_step * 1e3:7.2f} ms/step, median of {len(per_round)} rounds)"
         )
 
-    paired = [a / b for a, b in zip(runs["reference"], runs["optimized"])]
-    q = statistics.quantiles(paired, n=4)
-    speedup = statistics.median(paired)
-    print(f"  optimized_vs_reference: {speedup:.2f}x (IQR {q[0]:.2f}-{q[2]:.2f})")
+    speedup = paired_gate.paired_ratio(
+        "optimized_vs_reference", runs["reference"], runs["optimized"]
+    )
+    print(f"  {speedup.name}: {speedup.median:.2f}x (IQR {speedup.q1:.2f}-{speedup.q3:.2f})")
 
     section = {
         "config": spec,
         "modes": modes,
-        "speedup": {"optimized_vs_reference": speedup},
-        "speedup_iqr": {"optimized_vs_reference": [q[0], q[2]]},
-        "speedup_rounds": {"optimized_vs_reference": paired},
+        "speedup": {speedup.name: speedup.median},
+        "speedup_iqr": {speedup.name: [speedup.q1, speedup.q3]},
+        "speedup_rounds": {speedup.name: speedup.values},
     }
     if with_profile:
         section["profile"] = profile_section(task, arch_hyper, batches)
-    return section
+    return section, speedup
 
 
 def check_speedup() -> int:
-    """CI gate: rerun tiny, fail when the optimized kernels lose their
-    speedup over the reference kernels measured in the same run."""
-    current = run_size("tiny", with_profile=False)
-    speedup = current["speedup"]["optimized_vs_reference"]
-    low, high = current["speedup_iqr"]["optimized_vs_reference"]
-    ok = speedup >= MIN_SPEEDUP_VS_REFERENCE
-    print(
-        f"check optimized: {speedup:.2f}x the reference kernels "
-        f"(IQR {low:.2f}-{high:.2f}, floor {MIN_SPEEDUP_VS_REFERENCE}x) "
-        f"{'OK' if ok else 'REGRESSION'}"
+    """CI gate: rerun tiny; exit status 1 when the optimized kernels lose
+    their speedup over the reference kernels measured in the same run."""
+    _, speedup = run_size("tiny", with_profile=False)
+    return paired_gate.verdict(
+        paired_gate.floor_failures(speedup, MIN_SPEEDUP_VS_REFERENCE)
     )
-    return 0 if ok else 1
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = paired_gate.arg_parser(__doc__)
     parser.add_argument(
         "--tiny", action="store_true", help="run only the tiny CI size"
     )
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="rerun tiny and fail when the speedup over reference drops",
-    )
-    parser.add_argument(
         "--no-save", action="store_true", help="do not write the results JSON"
-    )
-    parser.add_argument(
-        "--steps", type=int, default=None, help="override timed steps per mode"
     )
     args = parser.parse_args()
 
     if args.check:
         return check_speedup()
 
-    if args.steps is not None:
-        for spec in SIZES.values():
-            spec["steps"] = args.steps
-
     report = {"benchmark": "train_step"}
     if not args.tiny:
-        report["default"] = run_size("default", with_profile=True)
-    report["tiny"] = run_size("tiny", with_profile=False)
+        report["default"], _ = run_size("default", with_profile=True)
+    report["tiny"], _ = run_size("tiny", with_profile=False)
 
     if not args.no_save:
         RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)

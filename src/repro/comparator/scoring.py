@@ -24,10 +24,10 @@ The engine is callable with a candidate list, so it drops into every
 
 Cache invalidation rules: the embedding cache is keyed by candidate identity
 only, so it is sound for as long as the comparator's *weights* are frozen —
-the inference-time regime of both searches.  Create a fresh engine (or call
-:meth:`RankingEngine.clear_cache`) after any weight update; mutated or
-crossed-over offspring need no special handling because they hash to new
-``ArchHyper.key()`` values.  See ``docs/comparator.md``.
+the inference-time regime of both searches.  Create a fresh engine after
+any weight update; mutated or crossed-over offspring need no special
+handling because they hash to new ``ArchHyper.key()`` values.  See
+``docs/comparator.md``.
 """
 
 from __future__ import annotations
@@ -250,14 +250,6 @@ class RankingEngine:
     def __call__(self, arch_hypers: list[ArchHyper]) -> np.ndarray:
         """Engines are ``CompareFn``s: candidate list in, win matrix out."""
         return self.win_matrix(arch_hypers)
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def clear_cache(self) -> None:
-        """Drop all memoized embeddings (required after any weight update)."""
-        self._embedding_cache.clear()
-        self._task_embedding = None
 
     @property
     def cached_candidates(self) -> int:

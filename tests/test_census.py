@@ -26,10 +26,6 @@ ALLOWED = {
     "RankingEngine.cached_candidates": (
         "test probe: TestEncoderForwardCounts inspects the embedding cache with it"
     ),
-    "RankingEngine.clear_cache": (
-        "the invalidation hook the module docstring and docs/comparator.md name "
-        "for a comparator whose weights change under a live engine"
-    ),
     "TrainResult.epochs_trained": "test probe: the early-stopping restore test reads it",
     "CorruptionResult.corrupted_fraction": "test probe: the injector tests read it",
     "StandardScaler.fit_transform": "test probe: the scaler round-trip tests use it",

@@ -204,17 +204,6 @@ class TestEncoderForwardCounts:
         engine.win_matrix(_candidates(4, seed=2))
         assert calls == 1
 
-    def test_clear_cache_forces_reencode(self):
-        model = _ahc()
-        candidates = _candidates(4)
-        engine = RankingEngine(model)
-        engine.win_matrix(candidates)
-        engine.clear_cache()
-        assert engine.cached_candidates == 0
-        model.gin.stats.reset()
-        engine.win_matrix(candidates)
-        assert model.gin.stats.rows == 4
-
 
 class TestModeRestoration:
     """Inference helpers must not clobber the module's train/eval state."""
